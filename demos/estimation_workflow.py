@@ -26,14 +26,14 @@ with tempfile.TemporaryDirectory() as tmp:
     log_file = os.path.join(tmp, "events.csv")
     log.to_csv(log_file)
     print(f"event log: {os.path.getsize(log_file) / 1e6:.1f} MB")
-    records = estimation.parse_event_log(log_file)
+    log = estimation.parse_event_log(log_file)
 
-result = estimation.estimate_intensities(records)
+result = estimation.estimate_intensities(log)
 print(f"\nlambda_hat    = {result.lambda_hat:9.1f}  (true {params.lam})")
 print(f"mu_theta_hat  = {result.mu_theta_hat:9.1f}  (true {params.mu_theta})")
 print(f"balance |mu_theta - lam| / lam = {result.balance_diagnostic:.3f}")
 
-f_hat = estimation.estimate_replenishment(records, tick=params.tick)
+f_hat = estimation.estimate_replenishment(log, tick=params.tick)
 tv = 0.5 * sum(
     abs(CITI_LIKE_F.as_dict().get(k, 0.0) - f_hat.as_dict().get(k, 0.0))
     for k in set(CITI_LIKE_F.as_dict()) | set(f_hat.as_dict())
@@ -44,7 +44,7 @@ print(f"depth D(f_hat) = {depth(f_hat):.3f}  (true {depth(CITI_LIKE_F):.3f})")
 print(f"mass on (ask >= bid) = {f_hat.upper_mass():.3f}")
 
 window = 10.0
-report = estimation.predicted_vs_realized(records, window=window)
+report = estimation.predicted_vs_realized(log, window=window)
 row = report["assets"][0]
 print(f"\nwindow = {window:.0f} s")
 print(f"sqrt(lambda_hat / D_hat)    = {row['sqrt_lambda_over_depth']:.3f}")

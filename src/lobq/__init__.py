@@ -13,7 +13,6 @@ from .analytics import (
     depth,
     expected_duration,
     expected_duration_f,
-    expected_duration_raw,
     hitting_laplace,
     p_cont,
     p_n,
@@ -32,7 +31,6 @@ from .analytics import (
 from .estimation import (
     EstimationError,
     EstimationResult,
-    EventRecord,
     estimate_intensities,
     estimate_replenishment,
     parse_event_log,

@@ -62,7 +62,6 @@ __all__ = [
     "vol_balanced",
     "vol_balanced_window",
     "expected_duration",
-    "expected_duration_raw",
     "expected_duration_f",
     "vol_unbalanced",
 ]
@@ -549,17 +548,6 @@ def expected_duration(x: int, y: int, params: ModelParams) -> float:
     _require_negative_drift(params)
     lo, hi = (x, y) if x <= y else (y, x)
     return _expected_duration_cached(params.lam, params.mu_theta, lo, hi)
-
-
-def expected_duration_raw(x: int, y: int, params: ModelParams) -> float:
-    """Prefactor-free variant integral of psi_x psi_y, kept for comparison.
-
-    Differs from expected_duration exactly by the factor
-    sqrt(((mu+theta)/lam)^(x+y)); simulation sides with the prefactored
-    version, which is the one used in the volatility formulas.
-    """
-    pref = (params.mu_theta / params.lam) ** (0.5 * (x + y))
-    return expected_duration(x, y, params) / pref
 
 
 def expected_duration_f(f: QueueDist, params: ModelParams) -> float:

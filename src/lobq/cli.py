@@ -189,10 +189,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     """Estimate intensities and the replenishment law from an event log."""
-    records = estimation.parse_event_log(args.log, batch_size=args.batch_size)
-    result = estimation.estimate_intensities(records)
+    log = estimation.parse_event_log(args.log, batch_size=args.batch_size)
+    result = estimation.estimate_intensities(log)
     try:
-        f_hat = estimation.estimate_replenishment(records)
+        f_hat = estimation.estimate_replenishment(log)
         result.f_hat = f_hat
     except estimation.EstimationError:
         f_hat = None
@@ -201,9 +201,7 @@ def cmd_estimate(args) -> int:
     if f_hat is not None:
         payload["upper_mass_hat"] = f_hat.upper_mass()
     if args.window is not None:
-        payload["predicted_vs_realized"] = estimation.predicted_vs_realized(
-            records, args.window
-        )
+        payload["predicted_vs_realized"] = estimation.predicted_vs_realized(log, args.window)
     _write_text(args, json.dumps(payload, sort_keys=True) + "\n")
     if args.f_out and f_hat is not None:
         f_hat.to_csv(args.f_out)
@@ -228,8 +226,8 @@ def cmd_vol(args) -> int:
     if args.log is not None:
         if args.window is None:
             raise UsageError("--log needs --window (seconds)")
-        records = estimation.parse_event_log(args.log, batch_size=args.batch_size)
-        out["predicted_vs_realized"] = estimation.predicted_vs_realized(records, args.window)
+        log = estimation.parse_event_log(args.log, batch_size=args.batch_size)
+        out["predicted_vs_realized"] = estimation.predicted_vs_realized(log, args.window)
     _write_text(args, json.dumps(out, sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -5,12 +5,15 @@ Log format: CSV with header
 where timestamp is in seconds from session start, side is bid/ask, kind is
 limit/market/cancel and queue sizes are in unit batches. Gzip-compressed
 files (suffix .gz) are accepted. Queue sizes recorded in shares can be
-rescaled to batches at ingestion with batch_size.
+rescaled to batches at ingestion with batch_size. The parser returns the
+simulator's columnar model.EventLog, so a parsed and a simulated log are the
+same object to the estimators.
 
-Estimators are count-based: per-side event counts over the covered span for
-the intensities, and the histogram of post-change queue snapshots for the
-replenishment law. Under the mirrored down-move law, down-move snapshots are
-pooled into the up-move histogram with swapped coordinates.
+Estimators are count-based numpy reductions over the columns: per-side event
+counts over the covered span for the intensities, and the histogram of
+post-change queue snapshots for the replenishment law. Under the mirrored
+down-move law, down-move snapshots are pooled into the up-move histogram
+with swapped coordinates.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .model import QueueDist
+from .analytics import depth
+from .model import KIND_NAMES, SIDE_NAMES, EventLog, QueueDist, _EventBuffer
 
 __all__ = [
-    "EventRecord",
     "EstimationError",
     "ParseReport",
     "EstimationResult",
@@ -39,24 +42,8 @@ __all__ = [
     "predicted_vs_realized",
 ]
 
-_SIDES = ("bid", "ask")
-_KINDS = ("limit", "market", "cancel")
-
-
 class EstimationError(RuntimeError):
     """Raised for unusable logs (unreadable, empty, or too many bad rows)."""
-
-
-@dataclass(slots=True)
-class EventRecord:
-    """One parsed order-book event row."""
-
-    timestamp: float
-    side: str
-    kind: str
-    bid_queue_after: int
-    ask_queue_after: int
-    bid_price_after: float
 
 
 @dataclass
@@ -97,26 +84,26 @@ class EstimationResult:
         return json.dumps(d, sort_keys=True)
 
 
-def parse_event_log(path: str, batch_size: float = 1.0) -> list[EventRecord]:
-    """Parse a tick-event CSV into records ordered by timestamp.
+def parse_event_log(path: str, batch_size: float = 1.0) -> EventLog:
+    """Parse a tick-event CSV into the simulator's columnar EventLog.
 
     Malformed rows below 1% of the file are skipped with a warning carrying
     their line numbers; above 1% the file is rejected. batch_size rescales
     recorded queue sizes (shares per batch) to unit batches.
     """
-    records, report = parse_event_log_with_report(path, batch_size)
+    log, report = parse_event_log_with_report(path, batch_size)
     if report.malformed:
         shown = ", ".join(f"line {ln}: {why}" for ln, why in report.malformed[:5])
         warnings.warn(
             f"{len(report.malformed)} malformed rows skipped ({shown}...)", stacklevel=2
         )
-    return records
+    return log
 
 
 def parse_event_log_with_report(
     path: str, batch_size: float = 1.0
-) -> tuple[list[EventRecord], ParseReport]:
-    """parse_event_log returning the malformed-row report alongside the rows."""
+) -> tuple[EventLog, ParseReport]:
+    """parse_event_log returning the malformed-row report alongside the log."""
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     opener = gzip.open if str(path).endswith(".gz") else open
@@ -125,8 +112,11 @@ def parse_event_log_with_report(
     except OSError as exc:
         raise EstimationError(f"cannot read event log {path}: {exc}") from exc
 
+    side_code = {name: code for code, name in enumerate(SIDE_NAMES)}
+    kind_code = {name: code for code, name in enumerate(KIND_NAMES)}
     report = ParseReport()
-    records: list[EventRecord] = []
+    rows = _EventBuffer(True)
+    add_row = rows.append
     with fh:
         header = fh.readline().strip()
         expected = "timestamp,side,kind,bid_queue_after,ask_queue_after,bid_price_after"
@@ -152,7 +142,7 @@ def parse_event_log_with_report(
             except ValueError as exc:
                 report.malformed.append((line_no, str(exc)))
                 continue
-            if side not in _SIDES or kind not in _KINDS:
+            if side not in side_code or kind not in kind_code:
                 report.malformed.append((line_no, f"bad side/kind {side}/{kind}"))
                 continue
             if qb < 0 or qa < 0:
@@ -161,20 +151,22 @@ def parse_event_log_with_report(
             if t < last_t:
                 report.malformed.append((line_no, "timestamp decreased"))
                 continue
+            try:
+                add_row(t, side_code[side], kind_code[kind], qb, qa, px)
+            except OverflowError:  # the queue columns are int64
+                report.malformed.append((line_no, "queue size out of range"))
+                continue
             last_t = t
-            records.append(EventRecord(t, side, kind, qb, qa, px))
 
     if report.total_rows and report.malformed_fraction > 0.01:
         raise EstimationError(
             f"{len(report.malformed)} of {report.total_rows} rows malformed (> 1%); "
             f"first: {report.malformed[:5]}"
         )
-    return records, report
+    return rows.finish(), report
 
 
-def estimate_intensities(
-    log: Sequence[EventRecord], span: Optional[float] = None
-) -> EstimationResult:
+def estimate_intensities(log: EventLog, span: Optional[float] = None) -> EstimationResult:
     """Per-side count estimators of the limit and removal intensities.
 
     lambda_hat averages the per-side limit-order rates; mu_theta_hat does
@@ -183,16 +175,16 @@ def estimate_intensities(
     diagnostic |mu_theta_hat - lambda_hat| / lambda_hat is small for liquid
     order flow.
     """
-    if not log:
+    if not len(log):
         raise EstimationError("empty event log")
-    T = float(log[-1].timestamp) if span is None else float(span)
+    T = float(log.t[-1]) if span is None else float(span)
     if not T > 0.0:
         raise EstimationError(f"nonpositive time span {T}")
-    counts = {(s, k): 0 for s in _SIDES for k in _KINDS}
-    for r in log:
-        counts[(r.side, r.kind)] += 1
-    lam_side = {s: counts[(s, "limit")] / T for s in _SIDES}
-    mt_side = {s: (counts[(s, "market")] + counts[(s, "cancel")]) / T for s in _SIDES}
+    n_kinds = len(KIND_NAMES)
+    flat = np.bincount(log.side * n_kinds + log.kind, minlength=len(SIDE_NAMES) * n_kinds)
+    counts = dict(zip(((s, k) for s in SIDE_NAMES for k in KIND_NAMES), flat.tolist()))
+    lam_side = {s: counts[(s, "limit")] / T for s in SIDE_NAMES}
+    mt_side = {s: (counts[(s, "market")] + counts[(s, "cancel")]) / T for s in SIDE_NAMES}
     lam = 0.5 * (lam_side["bid"] + lam_side["ask"])
     mt = 0.5 * (mt_side["bid"] + mt_side["ask"])
     if mt == 0.0:
@@ -201,7 +193,7 @@ def estimate_intensities(
         lambda_hat=lam,
         mu_theta_hat=mt,
         window=(0.0, T),
-        counts={f"{s}_{k}": counts[(s, k)] for s in _SIDES for k in _KINDS},
+        counts={f"{s}_{k}": c for (s, k), c in counts.items()},
         per_side={
             "lambda": lam_side,
             "mu_theta": mt_side,
@@ -210,30 +202,25 @@ def estimate_intensities(
     )
 
 
-def _price_changes(log: Sequence[EventRecord], tick: Optional[float]):
-    """Yield (index, direction_in_ticks) for rows where the bid price moved."""
+def _price_changes(log: EventLog, tick: Optional[float]):
+    """Rows where the bid price moved, their moves in ticks, and the tick.
+
+    The tick, when not given, is the smallest nonzero move rounded to 12
+    decimals.
+    """
+    d = np.diff(log.bid_price_after)
+    rows = np.flatnonzero(d) + 1
+    d = d[rows - 1]
     if tick is None:
-        diffs = sorted(
-            {
-                round(abs(log[i].bid_price_after - log[i - 1].bid_price_after), 12)
-                for i in range(1, len(log))
-            }
-            - {0.0}
-        )
+        diffs = {round(float(x), 12) for x in np.unique(np.abs(d))} - {0.0}
         if not diffs:
             raise EstimationError("no price changes found in log")
-        tick = diffs[0]
-    out = []
-    for i in range(1, len(log)):
-        d = log[i].bid_price_after - log[i - 1].bid_price_after
-        if d == 0.0:
-            continue
-        out.append((i, d / tick))
-    return out, tick
+        tick = min(diffs)
+    return rows, d / tick, tick
 
 
 def estimate_replenishment(
-    log: Sequence[EventRecord],
+    log: EventLog,
     tick: Optional[float] = None,
     pool_symmetric: bool = True,
 ) -> QueueDist:
@@ -246,29 +233,20 @@ def estimate_replenishment(
     coordinates, which is exact when the down-move law mirrors the up-move
     law.
     """
-    changes, tick = _price_changes(log, tick)
-    if not changes:
+    rows, moves, tick = _price_changes(log, tick)
+    if not rows.size:
         raise EstimationError("no price changes found in log")
-    counts: dict[tuple[int, int], int] = {}
-    n_up = n_down = n_jump = n_zero = 0
-    for i, move in changes:
-        if abs(abs(move) - 1.0) > 0.5:
-            n_jump += 1
-            continue
-        r = log[i]
-        if r.bid_queue_after < 1 or r.ask_queue_after < 1:
-            n_zero += 1
-            continue
-        if move > 0:
-            key = (r.bid_queue_after, r.ask_queue_after)
-            n_up += 1
-        else:
-            if not pool_symmetric:
-                n_down += 1
-                continue
-            key = (r.ask_queue_after, r.bid_queue_after)
-            n_down += 1
-        counts[key] = counts.get(key, 0) + 1
+    jump = np.abs(np.abs(moves) - 1.0) > 0.5
+    qb = log.bid_queue_after[rows]
+    qa = log.ask_queue_after[rows]
+    empty = ~jump & ((qb < 1) | (qa < 1))
+    usable = ~jump & ~empty
+    up = usable & (moves > 0)
+    keys = [np.column_stack((qb[up], qa[up]))]
+    if pool_symmetric:
+        down = usable & ~up
+        keys.append(np.column_stack((qa[down], qb[down])))
+    n_jump, n_zero = int(np.count_nonzero(jump)), int(np.count_nonzero(empty))
     if n_jump:
         warnings.warn(
             f"excluded {n_jump} multi-tick jumps from the replenishment histogram",
@@ -276,10 +254,11 @@ def estimate_replenishment(
         )
     if n_zero:
         warnings.warn(f"excluded {n_zero} post-change rows with empty queues", stacklevel=2)
-    total = sum(counts.values())
+    atoms, counts = np.unique(np.concatenate(keys), axis=0, return_counts=True)
+    total = int(counts.sum())
     if total == 0:
         raise EstimationError("no usable one-tick price changes in log")
-    return QueueDist((i, j, c / total) for (i, j), c in sorted(counts.items()))
+    return QueueDist((i, j, c / total) for (i, j), c in zip(atoms.tolist(), counts.tolist()))
 
 
 def realized_volatility(times, prices, window: float) -> float:
@@ -326,7 +305,7 @@ def _window_index(window: float, span: float, lam: float, depth_f: float) -> flo
 
 
 def predicted_vs_realized(
-    log: Sequence[EventRecord] | dict[str, Sequence[EventRecord]],
+    log: EventLog | dict[str, EventLog],
     window: float,
     tick: Optional[float] = None,
 ) -> dict:
@@ -338,21 +317,16 @@ def predicted_vs_realized(
     The realized-to-sqrt ratio should sit near the constant
     tick * sqrt(pi n).
     """
-    if isinstance(log, dict):
-        assets = log
-    else:
-        assets = {"asset": log}
+    assets = log if isinstance(log, dict) else {"asset": log}
     rows = []
-    for name, records in assets.items():
-        if not records:
+    for name, asset_log in assets.items():
+        if not len(asset_log):
             raise EstimationError(f"empty log for {name!r}")
-        res = estimate_intensities(records)
-        f_hat = estimate_replenishment(records, tick=tick)
-        changes, tck = _price_changes(records, tick)
-        d = float(np.sum(f_hat.bid * f_hat.ask * f_hat.prob))
-        times = [r.timestamp for r in records]
-        prices = [r.bid_price_after for r in records]
-        realized = realized_volatility(times, prices, window)
+        res = estimate_intensities(asset_log)
+        f_hat = estimate_replenishment(asset_log, tick=tick)
+        _, _, tck = _price_changes(asset_log, tick)
+        d = depth(f_hat)
+        realized = realized_volatility(asset_log.t, asset_log.bid_price_after, window)
         n_idx = _window_index(window, res.window[1], res.lambda_hat, d)
         predicted = tck * math.sqrt(math.pi * n_idx * res.lambda_hat / d)
         ratio_base = math.sqrt(res.lambda_hat / d)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -302,6 +302,11 @@ class EventLog:
     ask_queue_after: np.ndarray
     bid_price_after: np.ndarray
 
+    def __post_init__(self):
+        lengths = {f.name: len(getattr(self, f.name)) for f in fields(self)}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"event-log columns differ in length: {lengths}")
+
     def __len__(self) -> int:
         return int(self.t.size)
 
@@ -488,7 +493,7 @@ class _EventBuffer:
             self.qa = np.empty(cap, dtype=np.int64)
             self.price = np.empty(cap)
 
-    def append(self, t, ask_side, kind, qb, qa, price):
+    def append(self, t, side, kind, qb, qa, price):
         if not self.enabled:
             return
         n = self.n
@@ -499,7 +504,7 @@ class _EventBuffer:
                 grown[:n] = arr
                 setattr(self, name, grown)
         self.t[n] = t
-        self.side[n] = 1 if ask_side else 0
+        self.side[n] = side
         self.kind[n] = kind
         self.qb[n] = qb
         self.qa[n] = qa

@@ -10,7 +10,6 @@ from lobq.analytics import (
     depth,
     expected_duration,
     expected_duration_f,
-    expected_duration_raw,
     hitting_laplace,
     p_cont,
     p_n,
@@ -370,11 +369,6 @@ class TestExpectedDuration:
             expected_duration(1, 1, p)
         with pytest.raises(ValueError):
             expected_duration_f(f_symmetric, p)
-
-    def test_raw_variant_prefactor_relation(self, params_unbalanced):
-        m = expected_duration(2, 3, params_unbalanced)
-        raw = expected_duration_raw(2, 3, params_unbalanced)
-        assert raw == pytest.approx(m / 2.0 ** (0.5 * 5), rel=1e-12)
 
     def test_f_average_point_mass(self, params_unbalanced):
         f = QueueDist.point_mass(2, 3)
