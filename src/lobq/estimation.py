@@ -117,6 +117,7 @@ def parse_event_log_with_report(
     report = ParseReport()
     rows = _EventBuffer(True)
     add_row = rows.append
+    isfinite = math.isfinite
     with fh:
         header = fh.readline().strip()
         expected = "timestamp,side,kind,bid_queue_after,ask_queue_after,bid_price_after"
@@ -147,6 +148,9 @@ def parse_event_log_with_report(
                 continue
             if qb < 0 or qa < 0:
                 report.malformed.append((line_no, "negative queue"))
+                continue
+            if not (isfinite(t) and isfinite(px)):
+                report.malformed.append((line_no, "non-finite timestamp or price"))
                 continue
             if t < last_t:
                 report.malformed.append((line_no, "timestamp decreased"))

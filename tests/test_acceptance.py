@@ -62,6 +62,8 @@ def test_criterion_3_hitting_probability():
 def test_criterion_4_price_change_chain():
     res = _run(4)
     assert res.passed, _failures(res)
+    sign = res.reports[0]
+    assert sign.quantity == "p_cont_sign" and sign.details["truncation_sensitivity"] < 1e-6
 
 
 def test_criterion_5_expected_duration():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lobq import analytics, xval
 from lobq.analytics import (
@@ -254,6 +256,51 @@ class TestProbUpNumeric:
         params = ModelParams.from_rates(1.0, 2.0)
         with pytest.warns(UserWarning, match="truncation"):
             prob_up_numeric(30, 30, params, truncation=100)
+
+    @pytest.mark.parametrize("truncation", [100, 200])
+    @pytest.mark.parametrize("mu_theta", [1.3, 1.015, 2.0, 1.0])  # p_up = 1/(1 + mu_theta)
+    def test_matches_sparse_lu_oracle(self, truncation, mu_theta):
+        params = ModelParams.from_rates(1.0, mu_theta)
+        want = xval._sparse_dirichlet(params.p_up, truncation)[:20, :20]
+        got = [[prob_up_numeric(n, p, params, truncation) for p in range(1, 21)] for n in range(1, 21)]
+        assert np.abs(np.array(got) - want).max() <= 1e-11
+
+    @settings(max_examples=40, deadline=None)
+    @given(p_up=st.floats(0.3, 0.5), truncation=st.integers(8, 120))
+    def test_complement_and_monotone(self, p_up, truncation):
+        phi = analytics._dirichlet_solution(p_up, truncation)  # phi[n-1, p-1] = prob_up(n, p)
+        assert np.abs(phi + phi.T - 1.0).max() <= 1e-12
+        corner = phi[:8, :8]
+        assert (np.diff(corner, axis=0) > 0.0).all()  # deeper bid: up more likely
+        assert (np.diff(corner, axis=1) < 0.0).all()  # deeper ask: up less likely
+
+
+class TestTruncationValidation:
+    F_DEEP = QueueDist([(5, 1, 0.5), (1, 5, 0.5)])
+    UNBALANCED = ModelParams.from_rates(1.0, 1.3)
+    BALANCED = ModelParams.from_rates(4.0, 4.0)
+
+    @pytest.mark.parametrize("truncation", [0, 1, 4, 2.5, 5.0, True, None, "400"])
+    @pytest.mark.parametrize("params", [UNBALANCED, BALANCED])
+    def test_rejected_at_every_public_entry(self, truncation, params):
+        calls = [
+            lambda: prob_up(5, 1, params, truncation),
+            lambda: p_cont(self.F_DEEP, params, truncation),
+            lambda: p_n(2, 1, 1, self.F_DEEP, params, truncation),
+            lambda: autocov_moves(2, self.F_DEEP, params, truncation),
+        ]
+        if not params.balanced:
+            calls.append(lambda: prob_up_numeric(5, 1, params, truncation))
+        for call in calls:
+            with pytest.raises(ValueError, match="truncation"):
+                call()
+
+    def test_smallest_accepted_truncation(self):
+        with pytest.warns(UserWarning, match="truncation"):
+            assert 0.0 < prob_up_numeric(5, 1, self.UNBALANCED, 5) < 1.0
+        with pytest.warns(UserWarning, match="truncation"):
+            assert prob_up_numeric(1, 1, self.UNBALANCED, 2) == pytest.approx(0.5, abs=1e-12)
+        assert prob_up(5, 1, self.UNBALANCED, np.int64(200)) == prob_up(5, 1, self.UNBALANCED, 200)
 
 
 class TestPriceChain:

@@ -82,6 +82,31 @@ class TestParse:
         lines = [ln for ln, _ in report.malformed]
         assert lines == [12, 22]  # header is line 1
 
+    def test_non_finite_timestamp_or_price_is_malformed(self, tmp_path):
+        # a kept nan timestamp would hide the decreases after it
+        rows = [
+            "1.0,bid,limit,1,1,100.0",
+            "nan,bid,limit,1,1,100.0",
+            "0.5,bid,limit,1,1,100.0",
+            "0.2,bid,limit,1,1,100.0",
+            "inf,bid,limit,1,1,nan",
+            "1.5,ask,limit,1,1,-inf",
+        ] + [f"{1.0 + 0.01 * k!r},ask,market,2,3,100.0" for k in range(1, 496)]
+        p = tmp_path / "log.csv"
+        write_log(p, rows)
+        with pytest.warns(UserWarning, match="5 malformed rows skipped"):
+            log = parse_event_log(str(p))
+        _, report = parse_event_log_with_report(str(p))
+        assert report.malformed == [
+            (3, "non-finite timestamp or price"),
+            (4, "timestamp decreased"),
+            (5, "timestamp decreased"),
+            (6, "non-finite timestamp or price"),
+            (7, "non-finite timestamp or price"),
+        ]
+        assert len(log) == 496 and log.t[0] == 1.0
+        assert np.isfinite(log.t).all() and np.isfinite(log.bid_price_after).all()
+
     def test_too_many_malformed_aborts(self, tmp_path):
         rows = ["garbage"] * 5 + ["1.0,bid,limit,1,1,100.0"] * 10
         p = tmp_path / "log.csv"
@@ -354,6 +379,9 @@ class TestParseProperties:
         "1.0,bid,cancel,1,2.5,100.0",
         "1.0,ask,cancel,1,99999999999999999999,100.0",
         "-1.0,bid,limit,1,1,100.0",  # timestamp decreased
+        "nan,bid,limit,1,1,100.0",
+        "inf,ask,cancel,1,1,100.0",
+        "1.0,bid,market,1,1,nan",
     )
 
     @settings(max_examples=40, deadline=None,
