@@ -26,6 +26,7 @@ with index 1/2.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import logging
 import math
@@ -44,6 +45,7 @@ from .numerics import (
     QuadSpec,
     bessel_i_scaled,
     integrate_finite,
+    integrate_panels,
     integrate_semi_infinite,
 )
 
@@ -101,6 +103,16 @@ def _clamp_prob(x: float, what: str) -> float:
     return x
 
 
+def _depletion_root(s, lam: float, mt: float):
+    """Root of smaller modulus of lam X^2 - (lam + mt + s) X + mt, for Re s >= 0.
+
+    2 mt / (a + sqrt(a^2 - 4 lam mt)), a = lam + mt + s, does not cancel at
+    large |s|; the principal root makes |a + sqrt(...)| the larger. Complex.
+    """
+    a = lam + mt + s
+    return 2.0 * mt / (a + cmath.sqrt(a * a - 4.0 * lam * mt))
+
+
 def hitting_laplace(s: float, x: int, params: ModelParams) -> float:
     """Laplace transform E[exp(-s sigma)] of a single queue's depletion time.
 
@@ -114,11 +126,7 @@ def hitting_laplace(s: float, x: int, params: ModelParams) -> float:
         raise ValueError("s must be nonnegative")
     if x < 1:
         raise ValueError("queue size must be >= 1")
-    lam, mt = params.lam, params.mu_theta
-    a = lam + mt + s
-    disc = a * a - 4.0 * lam * mt
-    root = (a - math.sqrt(disc)) / (2.0 * lam)
-    return root**x
+    return _depletion_root(s, params.lam, params.mu_theta).real ** x
 
 
 def _psi_integrand(n: int, c: float, rho: float):
@@ -308,14 +316,7 @@ def _phi_cached(n: int, p: int, spec: QuadSpec) -> float:
         return decay**p * sin(n * t) * cos(0.5 * t) / sin(0.5 * t)
 
     # one panel per lobe of sin(n t), so no oscillation is ever aliased away
-    seg_spec = QuadSpec(spec.abs_tol / n, spec.rel_tol, spec.max_subdivisions)
-    val = (
-        math.fsum(
-            integrate_finite(integrand, k * math.pi / n, (k + 1) * math.pi / n, seg_spec)
-            for k in range(n)
-        )
-        / math.pi
-    )
+    val = integrate_panels(integrand, [k * math.pi / n for k in range(n + 1)], spec) / math.pi
     return _clamp_prob(val, f"prob_up_balanced({n},{p})")
 
 
@@ -500,33 +501,31 @@ def vol_balanced_window(params: ModelParams, f: QueueDist, n: int) -> float:
 
 @functools.lru_cache(maxsize=4096)
 def _expected_duration_cached(lam: float, mt: float, x: int, y: int) -> float:
-    params = ModelParams.from_rates(lam, mt)
-    rho = (math.sqrt(lam) - math.sqrt(mt)) ** 2
-    # survival decays like e^{-2 rho t}; pick T so the discarded tail is ~1e-9
-    T = math.log(1e9) / (2.0 * rho) + (x + y) / (mt - lam)
-    inner = QuadSpec(abs_tol=1e-8, rel_tol=1e-8)
+    # S_n, one queue's depletion survival, has Fourier transform (1 - r(iw)^n)/(iw),
+    # so by Parseval E[tau] = (1/pi) int_0^inf Re[S_x^ conj(S_y^)] dw. The integrand
+    # varies on the scale rho of the branch point s = -rho and is 1/w^2 + O(w^-4)
+    # beyond big_w; abs_tol is 1e-12 of the integral's bound pi min(x, y) / gap.
+    gap = mt - lam
+    rho = (math.sqrt(mt) - math.sqrt(lam)) ** 2
+    big_w = 1e6 * (lam + mt)
 
-    def s_tau(t: float) -> float:
-        return survival_duration(x, y, t, params, inner)
+    def integrand(w: float) -> float:
+        if w == 0.0:
+            return x * y / (gap * gap)
+        r = _depletion_root(1j * w, lam, mt)
+        return ((1.0 - r**x) * (1.0 - r**y).conjugate()).real / (w * w)
 
-    s0 = 0.25 * min(min(x, y) / (mt - lam), T)
-    breaks = [0.0]
-    step = s0
-    while breaks[-1] + step < T:
-        breaks.append(breaks[-1] + step)
-        step *= 2.0
-    breaks.append(T)
-    outer = QuadSpec(abs_tol=1e-6 / len(breaks), rel_tol=1e-7)
-    return math.fsum(
-        integrate_finite(s_tau, breaks[k], breaks[k + 1], outer) for k in range(len(breaks) - 1)
-    )
+    edges = [0.0, *np.geomspace(1e-2 * rho, big_w, 60).tolist()]
+    spec = QuadSpec(abs_tol=1e-12 * math.pi * min(x, y) / gap, rel_tol=1e-12)
+    return (integrate_panels(integrand, edges, spec) + 1.0 / big_w) / math.pi
 
 
 def expected_duration(x: int, y: int, params: ModelParams) -> float:
     """Mean time until the next price move from queues (x, y).
 
-    Integrates the full survival function (prefactor included) over [0, inf);
-    finite only for lam < mu + theta. Bounded above by
+    The integral of P[tau > t], taken by Parseval's identity as one frequency
+    integral of the two queues' closed-form depletion transforms, with no time
+    truncation. Finite only for lam < mu + theta; bounded above by
     min(x, y) / (mu + theta - lam), the mean depletion time of the smaller
     queue alone.
     """

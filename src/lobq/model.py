@@ -343,7 +343,6 @@ def step(
     params: ModelParams,
     f: QueueDist,
     rng: np.random.Generator,
-    f_tilde: Optional[QueueDist] = None,
 ) -> tuple[BookState, float, int]:
     """Advance the book by one order-book event.
 
@@ -352,7 +351,6 @@ def step(
     depletion. Returns the new state, the elapsed time and the price move
     in { -1, 0, +1 } ticks.
     """
-    ft = f_tilde if f_tilde is not None else f.swap()
     elapsed = rng.exponential(1.0 / params.event_rate)
     ask_side = rng.random() < 0.5
     up = rng.random() < params.p_up
@@ -369,7 +367,7 @@ def step(
         return BookState(state.bid_price + params.tick, nb, na), elapsed, 1
     if state.bid_queue > 1:
         return BookState(state.bid_price, state.bid_queue - 1, state.ask_queue), elapsed, 0
-    nb, na = ft.sample_one(rng)
+    nb, na = f.swap().sample_one(rng)
     return BookState(state.bid_price - params.tick, nb, na), elapsed, -1
 
 
@@ -377,7 +375,6 @@ def simulate(
     params: ModelParams,
     f: QueueDist,
     cfg: SimConfig,
-    f_tilde: Optional[QueueDist] = None,
     collect_events: bool = False,
 ):
     """Simulate one path; deterministic given cfg.seed and cfg.path_index.
@@ -386,15 +383,7 @@ def simulate(
     A horizon that ends before the first price change yields an empty-moves
     path, which is valid.
     """
-    import warnings
-
-    ft = f_tilde if f_tilde is not None else f.swap()
-    if f_tilde is not None and not _is_swap_of(f, f_tilde):
-        warnings.warn(
-            "asymmetric replenishment override: f_tilde != swap(f); "
-            "chain statistics and diffusion formulas assume the mirrored law",
-            stacklevel=2,
-        )
+    ft = f.swap()
     rng = path_rng(cfg.seed, cfg.path_index)
 
     if cfg.initial_state is not None:
@@ -469,13 +458,6 @@ def simulate(
     if collect_events:
         return path, log.finish()
     return path
-
-
-def _is_swap_of(f: QueueDist, g: QueueDist, tol: float = 1e-12) -> bool:
-    d = f.as_dict()
-    e = g.as_dict()
-    keys = set(d) | {(j, i) for i, j in e}
-    return all(abs(d.get((i, j), 0.0) - e.get((j, i), 0.0)) <= tol for i, j in keys)
 
 
 class _EventBuffer:
@@ -612,7 +594,6 @@ def sample_price_at(
     horizon_time: float,
     n_paths: int,
     seed: int,
-    f_tilde: Optional[QueueDist] = None,
 ) -> np.ndarray:
     """Net signed tick count at a fixed model time for a batch of paths.
 
@@ -620,7 +601,7 @@ def sample_price_at(
     with mean event_rate * horizon_time; the embedded marks are then run in
     lockstep rounds across all unfinished paths.
     """
-    ft = f_tilde if f_tilde is not None else f.swap()
+    ft = f.swap()
     rng = _stream(seed, _TAG_PRICE)
     pu = params.p_up
     n_events = rng.poisson(params.event_rate * horizon_time, size=n_paths)
@@ -668,7 +649,6 @@ def sample_move_signs(
     n_chains: int,
     n_moves: int,
     seed: int,
-    f_tilde: Optional[QueueDist] = None,
     start: Optional[tuple[int, int]] = None,
 ) -> np.ndarray:
     """Simulate the +-1 price-move sequence; shape (n_chains, n_moves).
@@ -680,7 +660,7 @@ def sample_move_signs(
     """
     if params.lam >= params.mu_theta:
         raise ValueError("move-sign sampling requires lam < mu + theta")
-    ft = f_tilde if f_tilde is not None else f.swap()
+    ft = f.swap()
     rng = _stream(seed, _TAG_MOVES)
     pu = params.p_up
     side_rate = params.lam + params.mu_theta

@@ -18,6 +18,7 @@ __all__ = [
     "QuadratureError",
     "bessel_i_scaled",
     "integrate_finite",
+    "integrate_panels",
     "integrate_semi_infinite",
 ]
 
@@ -135,8 +136,9 @@ def integrate_finite(
     return total
 
 
-def _segmented(fn, breaks, spec) -> float:
-    """Integrate over consecutive panels; tolerance is shared across panels."""
+def integrate_panels(fn: Callable[[float], float], breaks, spec: QuadSpec = DEFAULT_QUAD) -> float:
+    """integrate_finite over consecutive panels [breaks[k], breaks[k+1]], summed
+    with fsum; abs_tol is shared equally across the panels."""
     n_seg = len(breaks) - 1
     seg_spec = QuadSpec(
         abs_tol=spec.abs_tol / max(n_seg, 1),
@@ -187,4 +189,4 @@ def integrate_semi_infinite(
         breaks.append(breaks[-1] + step)
         step *= 2.0
     breaks.append(T)
-    return _segmented(fn, breaks, spec)
+    return integrate_panels(fn, breaks, spec)

@@ -3,7 +3,8 @@
 Two independent routes certify every closed-form quantity:
 
 * deterministic oracles: transient survival probabilities from a uniformized
-  birth-death chain with certified truncation bounds, and hitting
+  birth-death chain with certified truncation bounds (integrated by Simpson's
+  rule for mean durations), and hitting
   probabilities from a sparse linear solve of the discrete Dirichlet problem
   on a truncated quadrant;
 * Monte Carlo comparators driving the batch simulation engines against each
@@ -24,6 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.integrate import simpson
 from scipy.special import gammaln
 from scipy.stats import kstest
 
@@ -165,6 +167,7 @@ def _bd_survival_curve(
         raise OracleError(f"probability mass {leak:.2e} escaped truncation {truncation}")
 
     ks = np.arange(k_max + 1)
+    log_fact = gammaln(ks + 1)
     out = np.empty(len(ts))
     p_tail_max = 0.0
     for i, t in enumerate(np.asarray(ts, dtype=float)):
@@ -172,7 +175,7 @@ def _bd_survival_curve(
             out[i] = 1.0
             continue
         mu = rate * t
-        logw = ks * math.log(mu) - mu - gammaln(ks + 1)
+        logw = ks * math.log(mu) - mu - log_fact
         wts = np.exp(logw)
         p_tail = max(0.0, 1.0 - float(wts.sum()))
         p_tail_max = max(p_tail_max, p_tail)
@@ -429,6 +432,20 @@ def _cmp_expected_duration(params, f, cfg, x=1, y=1, tolerance=None):
     )
 
 
+def _cmp_mean_duration_oracle(params, x, y):
+    """E[tau] vs Simpson's rule on the uniformized-chain survival over 0 and
+    4000 nodes of geomspace(1e-4 m0, 20/rho + 20 m0), m0 = min(x, y)/(mu+theta-lam)."""
+    analytic = analytics.expected_duration(x, y, params)
+    m0 = min(x, y) / (params.mu_theta - params.lam)
+    t_max = 20.0 / (math.sqrt(params.mu_theta) - math.sqrt(params.lam)) ** 2 + 20.0 * m0
+    ts = np.concatenate(([0.0], np.geomspace(1e-4 * m0, t_max, 4000)))
+    oracle = float(simpson(oracle_survival(x, y, ts, params), x=ts))
+    dev = abs(oracle - analytic)
+    return _report(f"expected_duration_oracle({x},{y})", analytic, oracle, dev,
+                   tolerance=1e-8 * analytic,
+                   details={"x": x, "y": y, "rel_dev": dev / analytic, "t_max": t_max})
+
+
 def _diffusion_report(quantity, params, f, cfg, n, paths, sigma, zeta, ks_tol, rel_tol):
     ticks = sample_price_at(params, f, zeta, paths, cfg.mc_seed)
     vals = params.tick * ticks / math.sqrt(n)
@@ -619,7 +636,7 @@ def _criterion_4(seed: int) -> CriterionResult:
 
 
 def _criterion_5(seed: int) -> CriterionResult:
-    """Mean duration vs 1e6-path simulation (1%) plus the drift upper bound."""
+    """Mean duration vs 1e6-path simulation (1%), uniformized chain (1e-8), drift bound."""
     reports = []
     combos = [((1, 1), ModelParams.from_rates(1.0, 2.0)), ((4, 5), ModelParams.from_rates(12.0, 13.0))]
     for (x, y), params in combos:
@@ -629,6 +646,7 @@ def _criterion_5(seed: int) -> CriterionResult:
         rep.passed = rep.max_abs_dev <= rep.tolerance
         rep.quantity = f"expected_duration({x},{y})"
         reports.append(rep)
+    reports += [_cmp_mean_duration_oracle(params, x, y) for (x, y), params in combos]
     bound_dev = 0.0
     for params in (ModelParams.from_rates(1.0, 2.0), ModelParams.from_rates(12.0, 13.0)):
         gap = params.mu_theta - params.lam
@@ -640,7 +658,7 @@ def _criterion_5(seed: int) -> CriterionResult:
                         "grid x,y <= 6", max(bound_dev, 0.0), tolerance=0.0,
                         details={"max_excess": bound_dev})
     return CriterionResult(
-        5, "expected duration vs simulation and drift bound",
+        5, "expected duration vs simulation, uniformized chain and drift bound",
         all(r.passed for r in reports) and rep_bound.passed,
         reports + [rep_bound], [],
     )

@@ -1,3 +1,5 @@
+import cmath
+import decimal
 import logging
 import math
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 from lobq import analytics, xval
 from lobq.analytics import (
@@ -61,6 +64,25 @@ class TestHittingLaplace:
         est = np.exp(-tau).mean()
         se = np.exp(-tau).std(ddof=1) / math.sqrt(tau.size)
         assert abs(est - hitting_laplace(1.0, 1, p)) <= 3 * se
+
+    def test_no_cancellation_at_large_s(self):
+        # the textbook root (a - sqrt(a^2 - 8)) / 2 at 50 digits, a = 3 + s
+        p = ModelParams.from_rates(1.0, 2.0)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for s in (1e6, 1e8, 1e9):
+                a = decimal.Decimal(3) + decimal.Decimal(s)
+                exact = float((a - (a * a - 8).sqrt()) / 2)
+                assert hitting_laplace(s, 1, p) == pytest.approx(exact, rel=1e-14)
+
+    def test_complex_root_is_the_smaller_one(self):
+        lam, mt = 1.3, 1.7
+        for s in (0.3 + 2.5j, -7j, 1e-3j):
+            a = lam + mt + s
+            d = cmath.sqrt(a * a - 4.0 * lam * mt)
+            want = min((a - d) / (2.0 * lam), (a + d) / (2.0 * lam), key=abs)
+            got = analytics._depletion_root(s, lam, mt)
+            assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_validation(self):
         p = ModelParams.from_rates(1.0, 2.0)
@@ -393,13 +415,39 @@ class TestDepthAndVol:
 
 class TestExpectedDuration:
     def test_frozen_values(self):
-        # cross-validated against 1e6-path simulation in the acceptance suite
+        # cross-validated against 1e6-path simulation and the uniformized
+        # chain in the acceptance suite
         assert expected_duration(1, 1, ModelParams.from_rates(1.0, 2.0)) == pytest.approx(
-            0.35111510640240556, rel=1e-6
+            0.3511151061127051, rel=1e-9
         )
         assert expected_duration(4, 5, ModelParams.from_rates(12.0, 13.0)) == pytest.approx(
-            1.2307335776572246, rel=1e-6
+            1.230733577261671, rel=1e-9
         )
+
+    def test_liquid_rates_match_survival_integral(self):
+        # a seed-706 liquid book, where the survival has a short time scale
+        lam, mt = 2258.676, 2284.587
+        params = ModelParams.from_rates(lam, mt)
+        m0 = 2 / (mt - lam)
+        rho = (math.sqrt(mt) - math.sqrt(lam)) ** 2
+        ts = np.concatenate(([0.0], np.geomspace(1e-4 * m0, 20 / rho + 20 * m0, 4000)))
+        want = simpson(survival_curve(2, 2, ts, params), x=ts)
+        assert expected_duration(2, 2, params) == pytest.approx(want, rel=1e-7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ratio=st.floats(0.5, 0.995),
+        mt=st.floats(1.0, 2500.0),
+        x=st.integers(1, 5),
+        y=st.integers(1, 5),
+    )
+    def test_symmetric_increasing_and_bounded(self, ratio, mt, x, y):
+        params = ModelParams.from_rates(ratio * mt, mt)
+        m = expected_duration(x, y, params)
+        assert expected_duration(y, x, params) == m
+        assert expected_duration(x + 1, y, params) > m
+        assert expected_duration(x, y + 1, params) > m
+        assert m < min(x, y) / (params.mu_theta - params.lam)
 
     def test_drift_upper_bound(self):
         params = ModelParams.from_rates(1.0, 2.0)

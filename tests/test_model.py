@@ -231,12 +231,6 @@ class TestSimulate:
         se = math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) <= 3 * se
 
-    def test_asymmetric_mirror_warns(self, f_symmetric):
-        params = ModelParams(lam=2.0, mu=2.0, theta=1.0)
-        f_tilde = QueueDist([(1, 1, 0.9), (2, 2, 0.1)])
-        with pytest.warns(UserWarning, match="asymmetric"):
-            simulate(params, f_symmetric, SimConfig(seed=1, horizon_events=10), f_tilde=f_tilde)
-
     def test_balanced_first_move_symmetric(self):
         # from (n, n) under balanced flow the first move is up half the time;
         # vectorized embedded walk, paths undecided after the cap are dropped
