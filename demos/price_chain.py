@@ -16,7 +16,7 @@ from lobq.presets import CITI_LIKE_F
 params = ModelParams.from_rates(1.0, 1.3)
 f = CITI_LIKE_F
 
-pc = analytics.p_cont(f, params, truncation=200)
+pc = analytics.p_cont(f, params)
 print(f"replenishment mass on {{ask >= bid}}: {f.upper_mass():.2f}")
 print(f"p_cont = {pc:.5f}  (below 1/2: successive moves anticorrelated)")
 
@@ -27,7 +27,7 @@ x = signs[:, burn:].astype(float)
 print(f"\nlag covariances of the +-1 move sequence ({chains * moves} moves):")
 print(f"{'k':>3} {'(2 p_cont - 1)^(k-1)':>22} {'simulated':>12} {'std err':>10}")
 for k in range(1, 6):
-    theory = analytics.autocov_moves(k, f, params, truncation=200)
+    theory = analytics.autocov_moves(k, f, params)
     prod = x * x if k == 1 else x[:, : -(k - 1)] * x[:, k - 1 :]
     est = prod.mean()
     se = prod.std(ddof=1) / math.sqrt(prod.size)
@@ -35,5 +35,5 @@ for k in range(1, 6):
 
 print("\nconditional distribution of the k-th next move from bid=2, ask=1:")
 for k in (1, 2, 3, 5, 10):
-    print(f"  P[move {k} is up] = {analytics.p_n(k, 2, 1, f, params, truncation=200):.5f}")
+    print(f"  P[move {k} is up] = {analytics.p_n(k, 2, 1, f, params):.5f}")
 print("(the state's information decays geometrically at rate |2 p_cont - 1|)")

@@ -3,8 +3,9 @@
 For balanced flow the two queues race as a symmetric planar walk, and the
 probability that the ask side empties first has a closed-form integral that
 depends only on the queue sizes. The surface below rises with bid depth and
-falls with ask depth; the diagonal is exactly one half. A sparse linear
-solve of the same exit problem on a truncated grid confirms the integral.
+falls with ask depth; the diagonal is exactly one half. A linear solve of
+the same exit problem on a truncated grid (xval's Sylvester oracle)
+confirms it.
 """
 
 from lobq import analytics, xval
@@ -25,10 +26,10 @@ for n in range(1, n_max + 1):
     for p in range(1, n_max + 1):
         exact, _ = xval.oracle_dirichlet(n, p, params, cfg)
         dev = max(dev, abs(analytics.prob_up_balanced(n, p) - exact))
-print(f"\nmax |integral - linear solve| on the grid: {dev:.2e}")
+print(f"\nmax |transform kernel - linear solve| on the grid: {dev:.2e}")
 
-print("\nunbalanced flow has no closed form; the same exit problem is solved")
-print("numerically. At lam=1, mu+theta=1.3:")
+print("\nunbalanced flow has no closed form in the queue sizes; the same")
+print("transform integral gives it. At lam=1, mu+theta=1.3:")
 up = ModelParams.from_rates(1.0, 1.3)
 for n, p in ((1, 1), (3, 1), (1, 3), (5, 2)):
-    print(f"  phi({n},{p}) = {analytics.prob_up_numeric(n, p, up, truncation=200):.5f}")
+    print(f"  phi({n},{p}) = {analytics.prob_up(n, p, up):.5f}")

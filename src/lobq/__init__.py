@@ -18,7 +18,6 @@ from .analytics import (
     p_n,
     prob_up,
     prob_up_balanced,
-    prob_up_numeric,
     psi,
     queue_survival,
     survival_curve,

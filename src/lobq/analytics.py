@@ -22,21 +22,28 @@ with psi the Bessel-integral transient of a birth-death queue. For
 lam < mu + theta the per-queue law has an exponential tail of rate
 (sqrt(lam) - sqrt(mu+theta))^2; for lam = mu+theta it is regularly varying
 with index 1/2.
+
+Hitting probabilities and mean durations come from one transform kernel.
+The queues are independent, and one queue's depletion time sigma_x has
+Laplace transform r(s)^x, so by Parseval
+
+    P[sigma_ask(p) < sigma_bid(n)] = (1/pi) int_0^inf Re[r(iw)^p conj(S_n^(iw))] dw,
+    E[tau] = (1/pi) int_0^inf Re[S_x^(iw) conj(S_y^(iw))] dw,
+
+with S_n^(iw) = (1 - r(iw)^n)/(iw) the transform of the survival S_n. Both
+are weighted sums over one fixed set of Gauss-Legendre nodes per
+(lam, mu + theta), with no truncation of the queues and no tolerance.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import logging
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dtrsyl
 from scipy.special import erfc
 
 from .model import ModelParams, QueueDist
@@ -45,7 +52,6 @@ from .numerics import (
     QuadSpec,
     bessel_i_scaled,
     integrate_finite,
-    integrate_panels,
     integrate_semi_infinite,
 )
 
@@ -58,7 +64,6 @@ __all__ = [
     "survival_curve",
     "tail_law",
     "prob_up_balanced",
-    "prob_up_numeric",
     "prob_up",
     "p_cont",
     "p_n",
@@ -72,9 +77,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-PHI_SMALL_T = 1e-6  # below this the hitting-probability integrand uses its t->0 limit
-
 
 @dataclass(frozen=True)
 class TailLaw:
@@ -106,11 +108,16 @@ def _clamp_prob(x: float, what: str) -> float:
 def _depletion_root(s, lam: float, mt: float):
     """Root of smaller modulus of lam X^2 - (lam + mt + s) X + mt, for Re s >= 0.
 
-    2 mt / (a + sqrt(a^2 - 4 lam mt)), a = lam + mt + s, does not cancel at
-    large |s|; the principal root makes |a + sqrt(...)| the larger. Complex.
+    2 mt / (a + sqrt(a - c) sqrt(a + c)), a = lam + mt + s,
+    c = 2 sqrt(lam mt): no cancellation at large |s|, and a - c = rho + s
+    is formed from rho = (sqrt(mt) - sqrt(lam))^2 without cancellation near
+    balance. The product of the two principal roots has its only branch cut
+    on [-c, c] in a, and makes |a + sqrt(...)| the larger. Complex,
+    elementwise in s.
     """
+    rho = ((mt - lam) / (math.sqrt(mt) + math.sqrt(lam))) ** 2
     a = lam + mt + s
-    return 2.0 * mt / (a + cmath.sqrt(a * a - 4.0 * lam * mt))
+    return 2.0 * mt / (a + np.sqrt(rho + s + 0j) * np.sqrt(a + 2.0 * math.sqrt(lam * mt) + 0j))
 
 
 def hitting_laplace(s: float, x: int, params: ModelParams) -> float:
@@ -126,7 +133,7 @@ def hitting_laplace(s: float, x: int, params: ModelParams) -> float:
         raise ValueError("s must be nonnegative")
     if x < 1:
         raise ValueError("queue size must be >= 1")
-    return _depletion_root(s, params.lam, params.mu_theta).real ** x
+    return float(_depletion_root(s, params.lam, params.mu_theta).real ** x)
 
 
 def _psi_integrand(n: int, c: float, rho: float):
@@ -304,148 +311,101 @@ def _require_negative_drift(params: ModelParams) -> None:
         raise ValueError("requires lam < mu + theta")
 
 
-@functools.lru_cache(maxsize=65536)
-def _phi_cached(n: int, p: int, spec: QuadSpec) -> float:
-    cos, sin, sqrt = math.cos, math.sin, math.sqrt
-
-    def integrand(t: float) -> float:
-        w = 2.0 - cos(t)
-        decay = 1.0 / (w + sqrt(w * w - 1.0))  # e^{-r(t)}, cancellation-free
-        if t < PHI_SMALL_T:
-            return 2.0 * n * decay**p
-        return decay**p * sin(n * t) * cos(0.5 * t) / sin(0.5 * t)
-
-    # one panel per lobe of sin(n t), so no oscillation is ever aliased away
-    val = integrate_panels(integrand, [k * math.pi / n for k in range(n + 1)], spec) / math.pi
-    return _clamp_prob(val, f"prob_up_balanced({n},{p})")
+# Gauss-Legendre nodes on each panel of the transform kernel. Going to 48
+# moves prob_up and E[tau] by under 1e-14.
+NODES_PER_PANEL = 32
 
 
-def prob_up_balanced(n: int, p: int, spec: QuadSpec = DEFAULT_QUAD) -> float:
+@functools.lru_cache(maxsize=64)
+def _transform_nodes(lam: float, mt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Fixed quadrature for (1/pi) int_0^inf F(w) dw over the depletion transform r(iw).
+
+    The two queues are independent, so a pair statistic is a Parseval
+    integral of one queue's depletion transform r(iw)^x and survival
+    transform (1 - r(iw)^x)/(iw). Substituting w = u^2 removes the
+    balanced w^-1/2 singularity at 0, so one rule covers both regimes:
+    60 geometric panels in u from sqrt(1e-2 rho) to sqrt(W),
+    W = 1e6 (lam + mu + theta), plus a first panel from 0, with
+    NODES_PER_PANEL nodes each. rho is floored at 1e-30 (lam + mu + theta)
+    for balanced flow; a floor as high as 1e-12 would leave the branch point
+    of flow within 1e-10 of balance unresolved, 2e-9 off.
+
+    Returns the nodes w, their weights (Jacobian 2u and 1/pi included), the
+    root r(iw) and 1/(pi W), the integral beyond W of a 1/w^2 tail.
+    """
+    total = lam + mt
+    rho = ((mt - lam) / (math.sqrt(mt) + math.sqrt(lam))) ** 2
+    big_w = 1e6 * total
+    lo_u = math.sqrt(1e-2 * max(rho, 1e-30 * total))
+    edges = np.concatenate(([0.0], np.geomspace(lo_u, math.sqrt(big_w), 61)))
+    x, gw = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
+    half = 0.5 * np.diff(edges)[:, None]
+    u = (edges[:-1, None] + half * (1.0 + x)).ravel()
+    w = u * u
+    weights = 2.0 * u * (half * gw).ravel() / math.pi
+    r = _depletion_root(1j * w, lam, mt)
+    for arr in (w, weights, r):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return w, weights, r, 1.0 / (math.pi * big_w)
+
+
+def _survival_transform(r: np.ndarray, w: np.ndarray, x) -> np.ndarray:
+    """(1 - r^x)/(iw): the Fourier transform of one queue's survival S_x at the nodes."""
+    return (1.0 - r**x) / (1j * w)
+
+
+def _prob_up_pairs(bids, asks, params: ModelParams) -> np.ndarray:
+    """prob_up at each (bid, ask) pair: P[sigma_ask < sigma_bid] by Parseval.
+
+    (1/pi) int Re[r(iw)^ask conj(S_bid^(iw))] dw; for ask = 1 the integrand
+    is mt/w^2 beyond W, which adds mt/(pi W).
+    """
+    _require_nonpositive_drift(params)
+    bids, asks = np.asarray(bids), np.asarray(asks)
+    if bids.dtype.kind not in "iu" or asks.dtype.kind not in "iu" or np.any(bids < 1) or np.any(asks < 1):
+        raise ValueError("queue sizes must be integers >= 1")
+    w, weights, r, tail = _transform_nodes(params.lam, params.mu_theta)
+    col = r[:, None]
+    vals = (col ** asks * _survival_transform(col, w[:, None], bids).conj()).real
+    return (weights[:, None] * vals).sum(axis=0) + params.mu_theta * tail * (asks == 1)
+
+
+def prob_up(bid: int, ask: int, params: ModelParams) -> float:
+    """Probability that the next price move is up, from queues (bid, ask).
+
+    The ask queue empties first: P[sigma_ask < sigma_bid], one weighted sum
+    over the transform kernel's fixed nodes, for balanced and unbalanced
+    flow alike. Requires lam <= mu + theta (otherwise the price may never
+    move).
+    """
+    val = float(_prob_up_pairs([bid], [ask], params)[0])
+    return _clamp_prob(val, f"prob_up({bid},{ask})")
+
+
+_UNIT_BALANCED = ModelParams.from_rates(1.0, 1.0)
+
+
+def prob_up_balanced(n: int, p: int) -> float:
     """Probability the next price move is up, balanced flow, bid n and ask p.
 
-    Exit probability of the symmetric planar walk through the ask axis,
-    evaluated from its closed-form integral over [0, pi]. Parameter-free:
-    when lam = mu + theta the answer depends only on the queue sizes. The
-    integrand's removable singularity at t = 0 (limit 2n) is patched
-    analytically below t = 1e-6.
+    Parameter-free: when lam = mu + theta the answer depends only on the
+    queue sizes, so this is prob_up at lam = mu + theta = 1.
     """
-    if n < 1 or p < 1:
-        raise ValueError("queue sizes must be >= 1")
-    return _phi_cached(int(n), int(p), spec)
+    return prob_up(n, p, _UNIT_BALANCED)
 
 
-@functools.lru_cache(maxsize=8)
-def _dirichlet_solution(p_up: float, truncation: int) -> np.ndarray:
-    """Hitting-probability grid for the embedded walk on {1..N}^2, bid on axis 0.
-
-    Solves phi(i, j) = sum of neighbor values weighted by the per-event
-    transition probabilities (side 1/2, then up p_up / down 1-p_up), with
-    phi = 0 on the bid axis, 1 on the ask axis, and single-queue ruin
-    values min(1, ((1-p_up)/p_up)^h) on the far boundary.
-
-    The queues move independently, so the N^2-unknown operator is the
-    Kronecker sum of one tridiagonal N x N matrix M = (I - A)/2 with itself
-    (A holds p_up above its diagonal and 1-p_up below), and the problem is
-    the Sylvester equation M X + X M^T = B, with B the boundary terms. It is
-    solved by Bartels-Stewart: real Schur form M = U T U^T, the triangular
-    equation T Y + Y T^T = U^T B U by LAPACK trsyl, then X = U Y U^T, and
-    one step of iterative refinement on the residual; O(N^3) time and
-    O(N^2) memory.
-    """
-    N = truncation
-    pu = p_up
-    pd = 1.0 - p_up
-    far = np.minimum(1.0, (pd / pu) ** np.arange(1, N + 1))  # one queue's ruin probability
-
-    M = 0.5 * np.eye(N)
-    k = np.arange(N - 1)
-    M[k, k + 1] = -0.5 * pu
-    M[k + 1, k] = -0.5 * pd
-    B = np.zeros((N, N))
-    B[:, 0] += 0.5 * pd                    # ask = 0: the price moved up
-    B[N - 1, :] += 0.5 * pu * far          # bid = N+1, taken as endless: up iff the ask ever empties
-    B[:, N - 1] += 0.5 * pu * (1.0 - far)  # ask = N+1: up unless the bid ever empties
-
-    T, U = scipy.linalg.schur(M, output="real")
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        Y, scale, info = dtrsyl(T, T, U.T @ rhs @ U, tranb="T")
-        if info < 0:
-            raise ValueError(f"trsyl rejected argument {-info}")
-        return U @ (Y / scale) @ U.T
-
-    X = solve(B)
-    X += solve(B - M @ X - X @ M.T)  # one refinement step: 2e-12 -> 3e-14 off the sparse LU
-    X.flags.writeable = False  # shared by every caller through the cache
-    return X
-
-
-def _check_truncation(truncation: int, largest_queue: int) -> None:
-    if not isinstance(truncation, numbers.Integral) or truncation < max(2, largest_queue):
-        raise ValueError(
-            f"truncation must be an int >= 2 and >= the largest queue {largest_queue}, "
-            f"got {truncation!r}"
-        )
-
-
-def prob_up_numeric(
-    n: int,
-    p: int,
-    params: ModelParams,
-    truncation: int = 400,
-) -> float:
-    """Probability of an up move from bid n, ask p for general order flow.
-
-    Solves the discrete Dirichlet problem of the embedded jump chain on the
-    truncated quadrant {1..truncation}^2 (a Sylvester equation solved by
-    Bartels-Stewart, cached per parameter set). Matches prob_up_balanced
-    when lam = mu + theta and extends it to asymmetric flow, where no
-    closed form is available. truncation must be an int >= 2 and >= n, p.
-    """
-    if n < 1 or p < 1:
-        raise ValueError("queue sizes must be >= 1")
-    _check_truncation(truncation, max(n, p))
-    if truncation < 4 * max(n, p):
-        warnings.warn(
-            f"truncation {truncation} is small for queues ({n},{p}); "
-            "hitting probability may carry visible boundary bias",
-            stacklevel=2,
-        )
-    grid = _dirichlet_solution(params.p_up, int(truncation))
-    return float(grid[n - 1, p - 1])
-
-
-def prob_up(bid: int, ask: int, params: ModelParams, truncation: int = 400) -> float:
-    """Up-move probability from (bid, ask); closed form when balanced."""
-    _check_truncation(truncation, max(bid, ask))
-    if params.balanced:
-        return prob_up_balanced(bid, ask)
-    return prob_up_numeric(bid, ask, params, truncation)
-
-
-def p_cont(f: QueueDist, params: ModelParams, truncation: int = 400) -> float:
+def p_cont(f: QueueDist, params: ModelParams) -> float:
     """Probability that two successive price moves share a direction.
 
     Right after a move the queues are a fresh draw from f (up move) or its
     mirror (down move), so the continuation probability is the f-average of
     the up-move probability.
     """
-    _check_truncation(truncation, int(max(f.bid.max(), f.ask.max())))
-    if params.balanced:
-        val = sum(p * prob_up_balanced(i, j) for i, j, p in f.items())
-    else:
-        val = sum(p * prob_up_numeric(i, j, params, truncation) for i, j, p in f.items())
+    val = math.fsum(f.prob * _prob_up_pairs(f.bid, f.ask, params))
     return _clamp_prob(val, "p_cont")
 
 
-def p_n(
-    k: int,
-    bid: int,
-    ask: int,
-    f: QueueDist,
-    params: ModelParams,
-    truncation: int = 400,
-) -> float:
+def p_n(k: int, bid: int, ask: int, f: QueueDist, params: ModelParams) -> float:
     """Probability that the k-th subsequent price move is up, given (bid, ask).
 
     Two-state sign chain: p_k = (1 + (2 p_cont - 1)^(k-1) (2 p_1 - 1)) / 2
@@ -454,18 +414,18 @@ def p_n(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    p1 = prob_up(bid, ask, params, truncation)
+    p1 = prob_up(bid, ask, params)
     if k == 1:
         return p1
-    pc = p_cont(f, params, truncation)
+    pc = p_cont(f, params)
     return 0.5 * (1.0 + (2.0 * pc - 1.0) ** (k - 1) * (2.0 * p1 - 1.0))
 
 
-def autocov_moves(k: int, f: QueueDist, params: ModelParams, truncation: int = 400) -> float:
+def autocov_moves(k: int, f: QueueDist, params: ModelParams) -> float:
     """Lag covariance Cov(X_1, X_k) of the +-1 move sequence, (2 p_cont - 1)^(k-1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return (2.0 * p_cont(f, params, truncation) - 1.0) ** (k - 1)
+    return (2.0 * p_cont(f, params) - 1.0) ** (k - 1)
 
 
 def depth(f: QueueDist) -> float:
@@ -499,41 +459,23 @@ def vol_balanced_window(params: ModelParams, f: QueueDist, n: int) -> float:
     return math.sqrt(n) * vol_balanced(params, f)
 
 
-@functools.lru_cache(maxsize=4096)
-def _expected_duration_cached(lam: float, mt: float, x: int, y: int) -> float:
-    # S_n, one queue's depletion survival, has Fourier transform (1 - r(iw)^n)/(iw),
-    # so by Parseval E[tau] = (1/pi) int_0^inf Re[S_x^ conj(S_y^)] dw. The integrand
-    # varies on the scale rho of the branch point s = -rho and is 1/w^2 + O(w^-4)
-    # beyond big_w; abs_tol is 1e-12 of the integral's bound pi min(x, y) / gap.
-    gap = mt - lam
-    rho = (math.sqrt(mt) - math.sqrt(lam)) ** 2
-    big_w = 1e6 * (lam + mt)
-
-    def integrand(w: float) -> float:
-        if w == 0.0:
-            return x * y / (gap * gap)
-        r = _depletion_root(1j * w, lam, mt)
-        return ((1.0 - r**x) * (1.0 - r**y).conjugate()).real / (w * w)
-
-    edges = [0.0, *np.geomspace(1e-2 * rho, big_w, 60).tolist()]
-    spec = QuadSpec(abs_tol=1e-12 * math.pi * min(x, y) / gap, rel_tol=1e-12)
-    return (integrate_panels(integrand, edges, spec) + 1.0 / big_w) / math.pi
-
-
 def expected_duration(x: int, y: int, params: ModelParams) -> float:
     """Mean time until the next price move from queues (x, y).
 
-    The integral of P[tau > t], taken by Parseval's identity as one frequency
-    integral of the two queues' closed-form depletion transforms, with no time
-    truncation. Finite only for lam < mu + theta; bounded above by
+    The integral of P[tau > t], taken by Parseval's identity as one weighted
+    sum over the transform kernel's nodes,
+    (1/pi) int Re[S_x^(iw) conj(S_y^(iw))] dw, with no time truncation; the
+    integrand is 1/w^2 beyond W, which adds 1/(pi W). Finite only for lam < mu + theta; bounded above by
     min(x, y) / (mu + theta - lam), the mean depletion time of the smaller
     queue alone.
     """
     if x < 1 or y < 1:
         raise ValueError("queue sizes must be >= 1")
     _require_negative_drift(params)
-    lo, hi = (x, y) if x <= y else (y, x)
-    return _expected_duration_cached(params.lam, params.mu_theta, lo, hi)
+    lo, hi = (x, y) if x <= y else (y, x)  # bitwise symmetric in (x, y)
+    w, weights, r, tail = _transform_nodes(params.lam, params.mu_theta)
+    vals = (_survival_transform(r, w, lo) * _survival_transform(r, w, hi).conj()).real
+    return float((weights * vals).sum()) + tail
 
 
 def expected_duration_f(f: QueueDist, params: ModelParams) -> float:
@@ -545,8 +487,12 @@ def expected_duration_f(f: QueueDist, params: ModelParams) -> float:
 def vol_unbalanced(params: ModelParams, f: QueueDist) -> float:
     """Diffusion-limit volatility per unit rescaled time for lam < mu + theta.
 
-    tick / sqrt(m(f)) where m(f) is the mean inter-move duration under f
-    replenishment.
+    tick sqrt(p_cont / ((1 - p_cont) m(f))), with m(f) the mean inter-move
+    duration under f replenishment. By renewal-reward, moves come every
+    m(f) on average, and the partial sums of the two-state sign chain with
+    stay probability p_cont grow with variance p_cont / (1 - p_cont) per
+    move; a swap-symmetric f has p_cont = 1/2, which gives tick / sqrt(m(f)).
     """
     m = expected_duration_f(f, params)
-    return params.tick / math.sqrt(m)
+    pc = p_cont(f, params)
+    return params.tick * math.sqrt(pc / ((1.0 - pc) * m))

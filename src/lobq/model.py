@@ -311,11 +311,18 @@ class EventLog:
         return int(self.t.size)
 
     def to_csv(self, path: str) -> None:
-        """Write the tick-event CSV consumed by the estimation tools."""
+        """Write the tick-event CSV consumed by the estimation tools.
+
+        A path ending in .gz is gzip-compressed with a zero header time stamp,
+        so identical logs give byte-identical files.
+        """
         import gzip
 
-        opener = gzip.open if str(path).endswith(".gz") else open
-        with opener(path, "wt", encoding="utf-8") as fh:
+        if not str(path).endswith(".gz"):
+            with open(path, "w", encoding="utf-8") as fh:
+                self.write(fh)
+            return
+        with gzip.GzipFile(path, "wb", mtime=0) as gz, io.TextIOWrapper(gz, encoding="utf-8") as fh:
             self.write(fh)
 
     def write(self, fh: io.TextIOBase) -> None:

@@ -4,9 +4,11 @@ Two independent routes certify every closed-form quantity:
 
 * deterministic oracles: transient survival probabilities from a uniformized
   birth-death chain with certified truncation bounds (integrated by Simpson's
-  rule for mean durations), and hitting
-  probabilities from a sparse linear solve of the discrete Dirichlet problem
-  on a truncated quadrant;
+  rule for mean durations); hitting probabilities from the exit problem of
+  the embedded jump chain on a truncated quadrant, solved as a Sylvester
+  equation at N and 2N; and, for balanced flow, the paper's closed-form
+  integral over [0, pi] by adaptive quadrature. None of them shares code
+  with the transform kernel of analytics that they check;
 * Monte Carlo comparators driving the batch simulation engines against each
   formula, with 3-standard-error pass bands.
 
@@ -23,9 +25,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.linalg
 from scipy.integrate import simpson
+from scipy.linalg.lapack import dtrsyl
 from scipy.special import gammaln
 from scipy.stats import kstest
 
@@ -37,7 +39,7 @@ from .model import (
     sample_move_signs,
     sample_price_at,
 )
-from .numerics import DEFAULT_QUAD, QuadSpec
+from .numerics import DEFAULT_QUAD, QuadSpec, integrate_panels
 from .presets import BALANCED_F, CITI_LIKE_F, UNBALANCED_F
 
 __all__ = [
@@ -205,58 +207,49 @@ def oracle_survival(
 
 
 @functools.lru_cache(maxsize=8)
-def _sparse_dirichlet(p_up: float, truncation: int) -> np.ndarray:
-    """Hitting-probability grid on {1..N}^2 by a sparse LU of the 5-point system.
+def _sylvester_dirichlet(p_up: float, truncation: int) -> np.ndarray:
+    """Hitting-probability grid for the embedded walk on {1..N}^2, bid on axis 0.
 
-    The same boundary values as analytics' Sylvester solve (0 on the bid
-    axis, 1 on the ask axis, single-queue ruin values min(1, r^h) on the
-    far edges), assembled as N^2 unknowns, so that the oracle shares no
-    solver code with the route it checks.
+    Solves phi(i, j) = sum of neighbor values weighted by the per-event
+    transition probabilities (side 1/2, then up p_up / down 1-p_up), with
+    phi = 0 on the bid axis, 1 on the ask axis, and single-queue ruin
+    values min(1, ((1-p_up)/p_up)^h) on the far boundary.
+
+    The queues move independently, so the N^2-unknown operator is the
+    Kronecker sum of one tridiagonal N x N matrix M = (I - A)/2 with itself
+    (A holds p_up above its diagonal and 1-p_up below), and the problem is
+    the Sylvester equation M X + X M^T = B, with B the boundary terms. It is
+    solved by Bartels-Stewart: real Schur form M = U T U^T, the triangular
+    equation T Y + Y T^T = U^T B U by LAPACK trsyl, then X = U Y U^T, and
+    one step of iterative refinement on the residual; O(N^3) time and
+    O(N^2) memory.
     """
-    N = int(truncation)
+    N = truncation
     pu = p_up
     pd = 1.0 - p_up
-    r = pd / pu
-    far_bid = np.minimum(1.0, r ** np.arange(1, N + 1))        # value at bid = N+1, ask = j
-    far_ask = 1.0 - np.minimum(1.0, r ** np.arange(1, N + 1))  # value at bid = i, ask = N+1
+    far = np.minimum(1.0, (pd / pu) ** np.arange(1, N + 1))  # one queue's ruin probability
 
-    ii, jj = np.meshgrid(np.arange(1, N + 1), np.arange(1, N + 1), indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    k = (ii - 1) * N + (jj - 1)
-    rows = [k]
-    cols = [k]
-    vals = [np.ones(k.size)]
-    rhs = np.zeros(N * N)
+    M = 0.5 * np.eye(N)
+    k = np.arange(N - 1)
+    M[k, k + 1] = -0.5 * pu
+    M[k + 1, k] = -0.5 * pd
+    B = np.zeros((N, N))
+    B[:, 0] += 0.5 * pd                    # ask = 0: the price moved up
+    B[N - 1, :] += 0.5 * pu * far          # bid = N+1, taken as endless: up iff the ask ever empties
+    B[:, N - 1] += 0.5 * pu * (1.0 - far)  # ask = N+1: up unless the bid ever empties
 
-    # neighbor (di, dj, weight); contributions to rhs when they leave the grid
-    for di, dj, w in ((1, 0, pu / 2), (-1, 0, pd / 2), (0, 1, pu / 2), (0, -1, pd / 2)):
-        ni = ii + di
-        nj = jj + dj
-        inside = (ni >= 1) & (ni <= N) & (nj >= 1) & (nj <= N)
-        rows.append(k[inside])
-        cols.append((ni[inside] - 1) * N + (nj[inside] - 1))
-        vals.append(np.full(inside.sum(), -w))
-        out = ~inside
-        if not out.any():
-            continue
-        ko = k[out]
-        nio = ni[out]
-        njo = nj[out]
-        bvals = np.zeros(ko.size)
-        bvals[njo == 0] = 1.0
-        sel = nio == N + 1
-        bvals[sel] = far_bid[njo[sel] - 1]
-        sel = njo == N + 1
-        bvals[sel] = far_ask[nio[sel] - 1]
-        # ni == 0 contributes value 0
-        rhs[ko] += w * bvals
+    T, U = scipy.linalg.schur(M, output="real")
 
-    A = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N * N, N * N),
-    )
-    return spla.spsolve(A, rhs).reshape(N, N)
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        Y, scale, info = dtrsyl(T, T, U.T @ rhs @ U, tranb="T")
+        if info < 0:
+            raise ValueError(f"trsyl rejected argument {-info}")
+        return U @ (Y / scale) @ U.T
+
+    X = solve(B)
+    X += solve(B - M @ X - X @ M.T)  # one refinement step: 2e-12 -> 3e-14 off a sparse LU
+    X.flags.writeable = False  # shared by every caller through the cache
+    return X
 
 
 def oracle_dirichlet(
@@ -265,17 +258,42 @@ def oracle_dirichlet(
     params: ModelParams,
     cfg: OracleConfig = OracleConfig(),
 ) -> tuple[float, float]:
-    """Hitting probability of the ask axis from (bid=n, ask=p) by sparse LU.
+    """Hitting probability of the ask axis from (bid=n, ask=p) on a truncated quadrant.
 
-    Returns (probability at cfg.queue_truncation, boundary sensitivity), the
-    latter being the change when the truncation is doubled. Both solves are
-    cached, so grid sweeps cost two factorizations in total.
+    The exit problem of the embedded jump chain on {1..N}^2, solved as a
+    Sylvester equation. Returns (probability at N = cfg.queue_truncation,
+    boundary sensitivity), the latter being the change when N is doubled.
+    Both solves are cached, so grid sweeps cost two solves in total.
     """
-    coarse = _sparse_dirichlet(params.p_up, cfg.queue_truncation)
-    fine = _sparse_dirichlet(params.p_up, 2 * cfg.queue_truncation)
+    coarse = _sylvester_dirichlet(params.p_up, cfg.queue_truncation)
+    fine = _sylvester_dirichlet(params.p_up, 2 * cfg.queue_truncation)
     val = float(coarse[n - 1, p - 1])
     sens = abs(float(fine[n - 1, p - 1]) - val)
     return val, sens
+
+
+PHI_SMALL_T = 1e-6  # below this the balanced integrand uses its t->0 limit
+
+
+@functools.lru_cache(maxsize=65536)
+def _phi_cached(n: int, p: int, spec: QuadSpec) -> float:
+    """The paper's closed-form integral over [0, pi] for the balanced up-move probability.
+
+    Exit probability of the symmetric planar walk through the ask axis from
+    bid n, ask p; the integrand's removable singularity at t = 0 (limit
+    2n) is patched below PHI_SMALL_T.
+    """
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
+
+    def integrand(t: float) -> float:
+        w = 2.0 - cos(t)
+        decay = 1.0 / (w + sqrt(w * w - 1.0))  # e^{-r(t)}, cancellation-free
+        if t < PHI_SMALL_T:
+            return 2.0 * n * decay**p
+        return decay**p * sin(n * t) * cos(0.5 * t) / sin(0.5 * t)
+
+    # one panel per lobe of sin(n t), so no oscillation is ever aliased away
+    return integrate_panels(integrand, [k * math.pi / n for k in range(n + 1)], spec) / math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -582,29 +600,33 @@ def _criterion_2(seed: int) -> CriterionResult:
 
 
 def _criterion_3(seed: int) -> CriterionResult:
-    """Closed-form hitting probability vs Dirichlet solve on the 20x20 grid."""
+    """Hitting-probability kernel vs the phi integral (balanced) and the Sylvester solve (unbalanced)."""
+    grid = range(1, 21)
     params = ModelParams.from_rates(10.0, 10.0)
+    kernel = np.array([[analytics.prob_up(n, p, params) for p in grid] for n in grid])
+    phi = np.array([[_phi_cached(n, p, DEFAULT_QUAD) for p in grid] for n in grid])
+    rep1 = _report("prob_up_vs_phi", "transform kernel", "phi integral",
+                   float(np.max(np.abs(kernel - phi))), tolerance=1e-8,
+                   details={"grid": 20, "quad_spec": asdict(DEFAULT_QUAD)})
+    rep2 = _report("prob_up_diagonal", 0.5, "phi(n,n)",
+                   float(np.max(np.abs(np.diag(kernel) - 0.5))), tolerance=1e-8)
+    rep3 = _report("prob_up_complement", 1.0, "phi(n,p)+phi(p,n)",
+                   float(np.max(np.abs(kernel + kernel.T - 1.0))), tolerance=1e-8)
+
+    # lam=1, mu+theta=1.3 (criterion 4's rates) holds CITI_LIKE_F's atoms
+    params = ModelParams.from_rates(1.0, 1.3)
     cfg = OracleConfig(queue_truncation=400)
-    grid_n = 20
-    dev = 0.0
-    sens = 0.0
-    diag_dev = 0.0
-    sum_dev = 0.0
-    for n in range(1, grid_n + 1):
-        for p in range(1, grid_n + 1):
-            a = analytics.prob_up_balanced(n, p)
-            o, s = oracle_dirichlet(n, p, params, cfg)
-            dev = max(dev, abs(a - o))
-            sens = max(sens, s)
-            sum_dev = max(sum_dev, abs(a + analytics.prob_up_balanced(p, n) - 1.0))
-        diag_dev = max(diag_dev, abs(analytics.prob_up_balanced(n, n) - 0.5))
-    rep1 = _report("prob_up_vs_dirichlet", "phi integral", "sparse solve", dev,
-                   tolerance=1e-4, details={"grid": grid_n, "boundary_sensitivity": sens})
-    rep2 = _report("prob_up_diagonal", 0.5, "phi(n,n)", diag_dev, tolerance=1e-8)
-    rep3 = _report("prob_up_complement", 1.0, "phi(n,p)+phi(p,n)", sum_dev, tolerance=1e-8)
+    kernel = np.array([[analytics.prob_up(n, p, params) for p in grid] for n in grid])
+    sens = max(oracle_dirichlet(n, p, params, cfg)[1] for n in grid for p in grid)
+    fine = _sylvester_dirichlet(params.p_up, 2 * cfg.queue_truncation)[:20, :20]
+    rep4 = _report("prob_up_vs_sylvester", "transform kernel", "Sylvester solve, N=800",
+                   float(np.max(np.abs(kernel - fine))), tolerance=1e-10,
+                   details={"grid": 20, "lam": 1.0, "mu_theta": 1.3,
+                            "boundary_sensitivity": sens})
+    reports = [rep1, rep2, rep3, rep4]
     return CriterionResult(
         3, "hitting probability grid n,p <= 20",
-        rep1.passed and rep2.passed and rep3.passed, [rep1, rep2, rep3], [],
+        all(r.passed for r in reports), reports, [],
     )
 
 
@@ -614,14 +636,12 @@ def _criterion_4(seed: int) -> CriterionResult:
     cfg = OracleConfig(mc_seed=seed)
     f = CITI_LIKE_F
     upper = f.upper_mass()
-    pc_coarse = analytics.p_cont(f, params, truncation=400)
-    pc = analytics.p_cont(f, params, truncation=800)
+    pc = analytics.p_cont(f, params)
     rep_sign = _report(
         "p_cont_sign", "p_cont < 1/2 when mass on {ask>=bid} > 0.7",
         {"p_cont": pc, "upper_mass": upper},
         0.0 if (upper > 0.7 and pc < 0.5) else 1.0, tolerance=0.5,
-        details={"p_cont": pc, "upper_mass": upper,
-                 "truncation_sensitivity": abs(pc - pc_coarse)},
+        details={"p_cont": pc, "upper_mass": upper},
     )
     rep_ac = _cmp_autocovariance(params, f, cfg, k_max=5, chains=2000, moves=500)
     cfg_sym = OracleConfig(mc_seed=seed + 1)
@@ -681,6 +701,17 @@ def _criterion_7(seed: int) -> CriterionResult:
                                     ks_tol=0.05, rel_tol=0.10)
     rep.details["m_f"] = analytics.expected_duration_f(UNBALANCED_F, params)
     return CriterionResult(7, "unbalanced diffusion limit (n scaling)", rep.passed, [rep], [])
+
+
+def _criterion_10(seed: int) -> CriterionResult:
+    """Unbalanced diffusion limit with the asymmetric CITI_LIKE_F (p_cont below 1/2)."""
+    params = ModelParams.from_rates(1.0, 1.3)
+    cfg = OracleConfig(mc_seed=seed)
+    rep = _cmp_diffusion_unbalanced(params, CITI_LIKE_F, cfg, n=2000, paths=2000,
+                                    ks_tol=0.05, rel_tol=0.10)
+    rep.details["m_f"] = analytics.expected_duration_f(CITI_LIKE_F, params)
+    rep.details["p_cont"] = analytics.p_cont(CITI_LIKE_F, params)
+    return CriterionResult(10, "unbalanced diffusion limit, asymmetric f", rep.passed, [rep], [])
 
 
 def _criterion_8(seed: int) -> CriterionResult:
@@ -748,6 +779,7 @@ CRITERIA: dict[int, Callable[[int], CriterionResult]] = {
     6: _criterion_6,
     7: _criterion_7,
     8: _criterion_8,
+    10: _criterion_10,
 }
 
 

@@ -20,7 +20,6 @@ from lobq.analytics import (
     p_n,
     prob_up,
     prob_up_balanced,
-    prob_up_numeric,
     psi,
     queue_survival,
     survival_curve,
@@ -31,6 +30,7 @@ from lobq.analytics import (
     vol_unbalanced,
 )
 from lobq.model import ModelParams, QueueDist, sample_first_passage, sample_move_signs
+from lobq.numerics import DEFAULT_QUAD, QuadSpec
 from lobq.presets import CITI_LIKE_F
 
 
@@ -250,54 +250,86 @@ class TestProbUp:
         assert sens < 1e-4
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            prob_up_balanced(0, 1)
+        for n, p in ((0, 1), (1, -2), (2.5, 1), (True, 1)):
+            with pytest.raises(ValueError):
+                prob_up_balanced(n, p)
 
 
 class TestProbUpNumeric:
+    """prob_up for general flow: the transform kernel in both regimes."""
+
     def test_matches_balanced_integral(self):
         params = ModelParams.from_rates(3.0, 3.0)
         for n, p in ((1, 1), (2, 1), (4, 7), (10, 10)):
-            assert prob_up_numeric(n, p, params, truncation=200) == pytest.approx(
-                prob_up_balanced(n, p), abs=1e-4
-            )
+            got = prob_up(n, p, params)
+            assert got == pytest.approx(prob_up_balanced(n, p), abs=1e-14)  # rate-free
+            assert got == pytest.approx(xval._phi_cached(n, p, DEFAULT_QUAD), abs=1e-8)
+
+    def test_tight_phi_oracle_at_balance(self):
+        # the default spec's phi is 7.3e-10 off; the kernel is 1.2e-12 off the tight one
+        params = ModelParams.from_rates(10.0, 10.0)
+        spec = QuadSpec(1e-12, 1e-11)
+        for n in range(1, 21, 3):
+            for p in range(1, 21, 4):
+                assert abs(prob_up(n, p, params) - xval._phi_cached(n, p, spec)) <= 1e-11
 
     def test_symmetric_start_is_half(self):
         for params in (ModelParams.from_rates(1.0, 2.0), ModelParams.from_rates(1.0, 1.3)):
-            assert prob_up_numeric(1, 1, params, truncation=200) == pytest.approx(0.5, abs=1e-10)
+            assert prob_up(1, 1, params) == pytest.approx(0.5, abs=1e-10)
 
     def test_against_monte_carlo(self):
         params = ModelParams.from_rates(1.0, 2.0)
-        analytic = prob_up_numeric(3, 1, params, truncation=200)
+        analytic = prob_up(3, 1, params)
         _, up = sample_first_passage(3, 1, params, 200_000, seed=2718)
         est = up.mean()
         se = math.sqrt(est * (1 - est) / up.size)
         assert abs(est - analytic) <= 3 * se
 
-    def test_small_truncation_warns(self):
-        params = ModelParams.from_rates(1.0, 2.0)
-        with pytest.warns(UserWarning, match="truncation"):
-            prob_up_numeric(30, 30, params, truncation=100)
-
-    @pytest.mark.parametrize("truncation", [100, 200])
-    @pytest.mark.parametrize("mu_theta", [1.3, 1.015, 2.0, 1.0])  # p_up = 1/(1 + mu_theta)
-    def test_matches_sparse_lu_oracle(self, truncation, mu_theta):
+    @pytest.mark.parametrize("mu_theta", [2.0, 1.3, 13.0 / 12.0])  # lam/(mu+theta) = 1/2, 1/1.3, 12/13
+    def test_matches_sylvester_oracle(self, mu_theta):
+        # near balance the N=200 solve carries its own truncation error (5e-6 at 9.9/10)
         params = ModelParams.from_rates(1.0, mu_theta)
-        want = xval._sparse_dirichlet(params.p_up, truncation)[:20, :20]
-        got = [[prob_up_numeric(n, p, params, truncation) for p in range(1, 21)] for n in range(1, 21)]
-        assert np.abs(np.array(got) - want).max() <= 1e-11
+        want = xval._sylvester_dirichlet(params.p_up, 200)[:20, :20]
+        got = [[prob_up(n, p, params) for p in range(1, 21)] for n in range(1, 21)]
+        assert np.abs(np.array(got) - want).max() <= 1e-10
 
     @settings(max_examples=40, deadline=None)
-    @given(p_up=st.floats(0.3, 0.5), truncation=st.integers(8, 120))
-    def test_complement_and_monotone(self, p_up, truncation):
-        phi = analytics._dirichlet_solution(p_up, truncation)  # phi[n-1, p-1] = prob_up(n, p)
-        assert np.abs(phi + phi.T - 1.0).max() <= 1e-12
-        corner = phi[:8, :8]
-        assert (np.diff(corner, axis=0) > 0.0).all()  # deeper bid: up more likely
-        assert (np.diff(corner, axis=1) < 0.0).all()  # deeper ask: up less likely
+    @given(
+        ratio=st.one_of(st.just(1.0), st.floats(0.3, 1.0)),
+        mt=st.floats(0.01, 3000.0),
+        n=st.integers(1, 59),
+        p=st.integers(1, 59),
+    )
+    def test_complement_and_monotone(self, ratio, mt, n, p):
+        params = ModelParams.from_rates(ratio * mt, mt)
+        up = prob_up(n, p, params)
+        assert abs(up + prob_up(p, n, params) - 1.0) <= 1e-12
+        assert prob_up(n, n, params) == pytest.approx(0.5, abs=1e-12)
+        assert prob_up(n + 1, p, params) >= up - 1e-12  # deeper bid: up more likely
+        assert prob_up(n, p + 1, params) <= up + 1e-12  # deeper ask: up less likely
+
+    def test_node_count_does_not_move_results(self, monkeypatch):
+        cases = [ModelParams.from_rates(lam, mt) for lam, mt in ((1.0, 1.3), (9.9, 10.0), (2258.676, 2284.587))]
+
+        def results():
+            grids = [[[prob_up(n, p, c) for p in range(1, 21)] for n in range(1, 21)] for c in cases]
+            return np.array(grids), np.array([expected_duration(2, 3, c) for c in cases])
+
+        base_grid, base_mean = results()
+        try:
+            monkeypatch.setattr(analytics, "NODES_PER_PANEL", 48)
+            analytics._transform_nodes.cache_clear()
+            grid, mean = results()
+        finally:
+            monkeypatch.undo()
+            analytics._transform_nodes.cache_clear()
+        assert np.abs(grid - base_grid).max() <= 1e-13
+        assert np.abs(mean / base_mean - 1.0).max() <= 1e-13
 
 
 class TestTruncationValidation:
+    """The truncation keyword is gone; passing it raises instead of being ignored."""
+
     F_DEEP = QueueDist([(5, 1, 0.5), (1, 5, 0.5)])
     UNBALANCED = ModelParams.from_rates(1.0, 1.3)
     BALANCED = ModelParams.from_rates(4.0, 4.0)
@@ -306,23 +338,36 @@ class TestTruncationValidation:
     @pytest.mark.parametrize("params", [UNBALANCED, BALANCED])
     def test_rejected_at_every_public_entry(self, truncation, params):
         calls = [
-            lambda: prob_up(5, 1, params, truncation),
-            lambda: p_cont(self.F_DEEP, params, truncation),
-            lambda: p_n(2, 1, 1, self.F_DEEP, params, truncation),
-            lambda: autocov_moves(2, self.F_DEEP, params, truncation),
+            lambda kw: prob_up(5, 1, params, **kw),
+            lambda kw: p_cont(self.F_DEEP, params, **kw),
+            lambda kw: p_n(2, 1, 1, self.F_DEEP, params, **kw),
+            lambda kw: autocov_moves(2, self.F_DEEP, params, **kw),
         ]
-        if not params.balanced:
-            calls.append(lambda: prob_up_numeric(5, 1, params, truncation))
         for call in calls:
-            with pytest.raises(ValueError, match="truncation"):
-                call()
+            with pytest.raises(TypeError, match="truncation"):
+                call({"truncation": truncation})
+        with pytest.raises(TypeError):
+            prob_up(5, 1, params, truncation)
 
-    def test_smallest_accepted_truncation(self):
-        with pytest.warns(UserWarning, match="truncation"):
-            assert 0.0 < prob_up_numeric(5, 1, self.UNBALANCED, 5) < 1.0
-        with pytest.warns(UserWarning, match="truncation"):
-            assert prob_up_numeric(1, 1, self.UNBALANCED, 2) == pytest.approx(0.5, abs=1e-12)
-        assert prob_up(5, 1, self.UNBALANCED, np.int64(200)) == prob_up(5, 1, self.UNBALANCED, 200)
+
+class TestSupercriticalRejected:
+    """lam > mu + theta: the price may never move, so there is no up-move law."""
+
+    PARAMS = ModelParams.from_rates(1.3, 1.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: prob_up(1, 1, p),
+            lambda p: p_cont(CITI_LIKE_F, p),
+            lambda p: p_n(2, 1, 1, CITI_LIKE_F, p),
+            lambda p: autocov_moves(2, CITI_LIKE_F, p),
+        ],
+        ids=["prob_up", "p_cont", "p_n", "autocov_moves"],
+    )
+    def test_raises(self, call):
+        with pytest.raises(ValueError, match="lam <= mu \\+ theta"):
+            call(self.PARAMS)
 
 
 class TestPriceChain:
@@ -339,23 +384,23 @@ class TestPriceChain:
         # thin-bid/deep-ask replenishment makes reversals more likely
         assert CITI_LIKE_F.upper_mass() > 0.7
         for params in (ModelParams.from_rates(4.0, 4.0), ModelParams.from_rates(1.0, 1.3)):
-            assert p_cont(CITI_LIKE_F, params, truncation=200) < 0.5
+            assert p_cont(CITI_LIKE_F, params) < 0.5
 
     def test_p_n_reduces_to_p1(self, f_symmetric):
         params = ModelParams.from_rates(1.0, 1.3)
-        assert p_n(1, 3, 2, f_symmetric, params, truncation=200) == pytest.approx(
-            prob_up(3, 2, params, truncation=200), abs=1e-12
+        assert p_n(1, 3, 2, f_symmetric, params) == pytest.approx(
+            prob_up(3, 2, params), abs=1e-12
         )
 
     def test_p_n_flat_when_p_cont_half(self, f_symmetric):
         params = ModelParams.from_rates(1.0, 1.3)
         for k in (2, 3, 10):
-            assert p_n(k, 3, 1, f_symmetric, params, truncation=200) == pytest.approx(0.5, abs=1e-9)
+            assert p_n(k, 3, 1, f_symmetric, params) == pytest.approx(0.5, abs=1e-9)
 
     def test_p_n_against_monte_carlo(self):
         params = ModelParams.from_rates(1.0, 1.3)
         k, bid, ask = 3, 2, 1
-        analytic = p_n(k, bid, ask, CITI_LIKE_F, params, truncation=200)
+        analytic = p_n(k, bid, ask, CITI_LIKE_F, params)
         signs = sample_move_signs(params, CITI_LIKE_F, 150_000, k, seed=1618, start=(bid, ask))
         est = (signs[:, k - 1] == 1).mean()
         se = math.sqrt(est * (1 - est) / signs.shape[0])
@@ -365,12 +410,12 @@ class TestPriceChain:
         params = ModelParams.from_rates(1.0, 1.3)
         assert autocov_moves(1, f_symmetric, params) == 1.0
         for k in (2, 3, 6):
-            assert autocov_moves(k, f_symmetric, params, truncation=200) == pytest.approx(0.0, abs=1e-8)
+            assert autocov_moves(k, f_symmetric, params) == pytest.approx(0.0, abs=1e-8)
 
     def test_autocov_geometric_structure(self):
         params = ModelParams.from_rates(1.0, 1.3)
-        c2 = autocov_moves(2, CITI_LIKE_F, params, truncation=200)
-        c4 = autocov_moves(4, CITI_LIKE_F, params, truncation=200)
+        c2 = autocov_moves(2, CITI_LIKE_F, params)
+        c4 = autocov_moves(4, CITI_LIKE_F, params)
         assert c2 < 0.0
         assert c4 == pytest.approx(c2**3, rel=1e-10)
 
@@ -411,6 +456,16 @@ class TestDepthAndVol:
         assert vol_unbalanced(params, f_symmetric) == pytest.approx(1.0 / math.sqrt(m), rel=1e-12)
         two_tick = ModelParams(lam=1.0, mu=1.3, theta=0.0, tick=2.0)
         assert vol_unbalanced(two_tick, f_symmetric) == pytest.approx(2.0 / math.sqrt(m), rel=1e-12)
+
+    def test_vol_unbalanced_asymmetric_f(self):
+        # renewal-reward: vol^2 m(f) = tick^2 p_cont / (1 - p_cont); CITI_LIKE_F has p_cont < 1/2
+        params = ModelParams(lam=1.0, mu=1.3, theta=0.0, tick=0.5)
+        m = expected_duration_f(CITI_LIKE_F, params)
+        pc = p_cont(CITI_LIKE_F, params)
+        assert pc < 0.45
+        vol = vol_unbalanced(params, CITI_LIKE_F)
+        assert vol**2 * m == pytest.approx(0.25 * pc / (1.0 - pc), rel=1e-12)
+        assert vol == pytest.approx(0.5 * 0.6945, rel=1e-3)  # Monte Carlo: 0.692 (criterion 10)
 
 
 class TestExpectedDuration:

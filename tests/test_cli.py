@@ -110,6 +110,13 @@ class TestPriceStats:
         assert abs(payload["autocov"][1]["cov"]) < 1e-8
         assert payload["p_n"][0]["p"] == pytest.approx(0.30234727368645004, abs=1e-8)
 
+    def test_supercritical_runtime_error(self, f_csv, capsys):
+        # lam > mu+theta: the price may never move, so p_cont is undefined
+        code = run_cli("price-stats", "--lambda", "1.3", "--mu-theta", "1", "--f", f_csv)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+
 
 class TestVol:
     def test_unit_sigma_case(self, point_f_csv, capsys):

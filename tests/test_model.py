@@ -1,3 +1,4 @@
+import gzip
 import math
 
 import numpy as np
@@ -185,6 +186,22 @@ class TestSimulate:
         path = simulate(params, f_symmetric, SimConfig(seed=3, horizon_time=1e-6))
         assert len(path) == 0
         assert path.prices([0.0, 1e-6]).tolist() == [0.0, 0.0]
+
+    def test_gzip_event_log_is_byte_identical(self, f_symmetric, tmp_path):
+        params = ModelParams(lam=3.0, mu=2.0, theta=1.0)
+        _, log = simulate(params, f_symmetric, SimConfig(seed=11, horizon_events=2000),
+                          collect_events=True)
+        blobs = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            path = tmp_path / sub / "events.csv.gz"
+            log.to_csv(str(path))
+            blobs.append(path.read_bytes())
+        assert blobs[0][4:8] == b"\0\0\0\0"  # gzip header time stamp
+        assert blobs[0] == blobs[1]
+        plain = tmp_path / "events.csv"
+        log.to_csv(str(plain))
+        assert gzip.decompress(blobs[0]) == plain.read_bytes()
 
     def test_inter_event_times_exponential(self, f_symmetric):
         params = ModelParams(lam=3.0, mu=2.0, theta=1.0)

@@ -3,8 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lobq import xval
+from lobq.model import ModelParams
+from lobq.numerics import DEFAULT_QUAD
 from lobq.xval import (
     ComparisonReport,
     MC_QUANTITIES,
@@ -55,6 +61,57 @@ class TestOracleSurvival:
         assert np.max(np.abs(exact - got)) <= 1e-6
 
 
+def _sparse_dirichlet(p_up: float, truncation: int) -> np.ndarray:
+    """Reference hitting-probability grid on {1..N}^2 by a sparse LU of the 5-point system.
+
+    The boundary values of xval's Sylvester oracle (0 on the bid axis, 1 on
+    the ask axis, single-queue ruin values min(1, r^h) on the far edges),
+    assembled as N^2 unknowns, so that it shares no solver code with it.
+    """
+    N = int(truncation)
+    pu = p_up
+    pd = 1.0 - p_up
+    r = pd / pu
+    far_bid = np.minimum(1.0, r ** np.arange(1, N + 1))        # value at bid = N+1, ask = j
+    far_ask = 1.0 - np.minimum(1.0, r ** np.arange(1, N + 1))  # value at bid = i, ask = N+1
+
+    ii, jj = np.meshgrid(np.arange(1, N + 1), np.arange(1, N + 1), indexing="ij")
+    ii = ii.ravel()
+    jj = jj.ravel()
+    k = (ii - 1) * N + (jj - 1)
+    rows = [k]
+    cols = [k]
+    vals = [np.ones(k.size)]
+    rhs = np.zeros(N * N)
+
+    # neighbor (di, dj, weight); contributions to rhs when they leave the grid
+    for di, dj, w in ((1, 0, pu / 2), (-1, 0, pd / 2), (0, 1, pu / 2), (0, -1, pd / 2)):
+        ni = ii + di
+        nj = jj + dj
+        inside = (ni >= 1) & (ni <= N) & (nj >= 1) & (nj <= N)
+        rows.append(k[inside])
+        cols.append((ni[inside] - 1) * N + (nj[inside] - 1))
+        vals.append(np.full(inside.sum(), -w))
+        out = ~inside
+        ko = k[out]
+        nio = ni[out]
+        njo = nj[out]
+        bvals = np.zeros(ko.size)
+        bvals[njo == 0] = 1.0
+        sel = nio == N + 1
+        bvals[sel] = far_bid[njo[sel] - 1]
+        sel = njo == N + 1
+        bvals[sel] = far_ask[nio[sel] - 1]
+        # ni == 0 contributes value 0
+        rhs[ko] += w * bvals
+
+    A = sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N * N, N * N),
+    )
+    return spla.spsolve(A, rhs).reshape(N, N)
+
+
 class TestOracleDirichlet:
     def test_symmetric_start(self, params_balanced):
         val, sens = oracle_dirichlet(1, 1, params_balanced, OracleConfig(queue_truncation=150))
@@ -72,6 +129,38 @@ class TestOracleDirichlet:
         for n, p in ((1, 1), (3, 2), (2, 5), (5, 5), (8, 3)):
             _, sens = oracle_dirichlet(n, p, params_balanced, cfg)
             assert sens < 1e-6
+
+    @pytest.mark.parametrize("truncation", [100, 200])
+    @pytest.mark.parametrize("mu_theta", [1.3, 1.015, 2.0, 1.0])  # p_up = 1/(1 + mu_theta)
+    def test_matches_sparse_lu_oracle(self, truncation, mu_theta):
+        params = ModelParams.from_rates(1.0, mu_theta)
+        want = _sparse_dirichlet(params.p_up, truncation)[:20, :20]
+        got = xval._sylvester_dirichlet(params.p_up, truncation)[:20, :20]
+        assert np.abs(got - want).max() <= 1e-11
+
+    @settings(max_examples=40, deadline=None)
+    @given(p_up=st.floats(0.3, 0.5), truncation=st.integers(8, 120))
+    def test_complement_and_monotone(self, p_up, truncation):
+        phi = xval._sylvester_dirichlet(p_up, truncation)  # phi[n-1, p-1] = prob_up(n, p)
+        assert np.abs(phi + phi.T - 1.0).max() <= 1e-12
+        corner = phi[:8, :8]
+        assert (np.diff(corner, axis=0) > 0.0).all()  # deeper bid: up more likely
+        assert (np.diff(corner, axis=1) < 0.0).all()  # deeper ask: up less likely
+
+
+class TestPhiOracle:
+    @pytest.mark.parametrize(
+        "n,p,expected",
+        [
+            # frozen from an independent Gauss-Kronrod evaluation of the integral
+            (2, 1, 0.6976527263135507),
+            (1, 2, 0.30234727368645004),
+            (5, 3, 0.6547578008618229),
+            (10, 20, 0.2952686766090052),
+        ],
+    )
+    def test_frozen_values(self, n, p, expected):
+        assert xval._phi_cached(n, p, DEFAULT_QUAD) == pytest.approx(expected, abs=1e-9)
 
 
 class TestMcCompare:
